@@ -66,8 +66,11 @@ def _load_json_arg(text):
 def _emit(report: dict, out_path):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path!r}: {exc}", EXIT_PARSE) from exc
     else:
         sys.stdout.write(text)
 
@@ -103,7 +106,7 @@ def _cmd_connectedness(args) -> int:
     q = quiver.canonical_quiver()
     try:
         report = pipeline.run_connectedness(q, theta, ideal)
-    except (pipeline.NonGenericTheta, toricgit.NonGenericCharacter) as exc:
+    except pipeline.NonGenericTheta as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except ValueError as exc:  # ideal/character shape mismatch

@@ -9,25 +9,34 @@ the generator family.
 
 from __future__ import annotations
 
-from .exactlin import DimensionMismatch
+from itertools import groupby
+
+from .exactlin import DimensionMismatch, _check_int
 
 
 class SquarefreeIdeal:
-    """Minimalized set of generator supports over a fixed variable count."""
+    """Minimalized set of generator supports over a fixed variable count.
+    Bit k of var_bits[v] is set when generator k contains variable v."""
 
-    __slots__ = ("num_vars", "generators")
+    __slots__ = ("num_vars", "generators", "var_bits", "all_bits")
 
     def __init__(self, num_vars: int, generators):
-        if num_vars < 0:
+        if _check_int(num_vars) < 0:
             raise ValueError("num_vars must be nonnegative")
         self.num_vars = num_vars
-        supports = []
-        for g in generators:
-            s = frozenset(int(v) for v in g)
-            if any(v < 0 or v >= num_vars for v in s):
-                raise ValueError("generator variable out of range")
-            supports.append(s)
-        self.generators = _antichain(supports)
+        self.generators = _antichain({_support_mask(num_vars, g) for g in generators})
+        self.var_bits = [0] * num_vars
+        for k, g in enumerate(self.generators):
+            for v in g:
+                self.var_bits[v] |= 1 << k
+        self.all_bits = (1 << len(self.generators)) - 1
+
+    def hit_bits(self, variables) -> int:
+        """Bit set of the generators that contain one of the variables."""
+        bits = 0
+        for v in variables:
+            bits |= self.var_bits[v]
+        return bits
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -56,10 +65,7 @@ class MonomialPrime:
 
     def __init__(self, num_vars: int, variables):
         self.num_vars = num_vars
-        s = frozenset(int(v) for v in variables)
-        if any(v < 0 or v >= num_vars for v in s):
-            raise ValueError("variable out of range")
-        self.variables = tuple(sorted(s))
+        self.variables = _members(_support_mask(num_vars, variables))
 
     def __eq__(self, other):
         return (isinstance(other, MonomialPrime)
@@ -73,13 +79,27 @@ class MonomialPrime:
         return f"MonomialPrime({list(self.variables)})"
 
 
-def _antichain(supports):
-    """Inclusion-minimal supports, canonically sorted."""
+def _support_mask(num_vars, variables) -> int:
+    mask = 0
+    for v in variables:
+        if not 0 <= _check_int(v) < num_vars:
+            raise ValueError("variable out of range")
+        mask |= 1 << v
+    return mask
+
+
+def _members(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _antichain(masks):
+    """Inclusion-minimal supports, canonically sorted; distinct supports
+    of one size never contain each other, so only smaller ones are tried."""
     keep = []
-    for s in sorted(set(supports), key=lambda t: (len(t), sorted(t))):
-        if not any(k <= s for k in keep):
-            keep.append(s)
-    return tuple(sorted((tuple(sorted(s)) for s in keep)))
+    for _size, group in groupby(sorted(masks, key=int.bit_count), int.bit_count):
+        smaller = tuple(keep)
+        keep.extend(m for m in group if not any(k & ~m == 0 for k in smaller))
+    return tuple(sorted(_members(m) for m in keep))
 
 
 def minimalize(num_vars: int, generators) -> SquarefreeIdeal:
@@ -91,8 +111,7 @@ def contains_ideal(p: MonomialPrime, ideal: SquarefreeIdeal) -> bool:
     meets every generator support."""
     if p.num_vars != ideal.num_vars:
         raise DimensionMismatch("prime and ideal live over different variable counts")
-    pv = set(p.variables)
-    return all(pv.intersection(g) for g in ideal.generators)
+    return ideal.hit_bits(p.variables) == ideal.all_bits
 
 
 def sum_prime(p: MonomialPrime, q: MonomialPrime) -> MonomialPrime:
@@ -113,41 +132,25 @@ def minimal_primes(ideal: SquarefreeIdeal):
     minimal transversal).  Output is sorted lexicographically on the
     sorted variable lists.
     """
-    gens = [frozenset(g) for g in ideal.generators]
-    if not gens:
-        # the zero ideal: its single minimal prime is the zero prime
-        return [MonomialPrime(ideal.num_vars, ())]
-    if any(not g for g in gens):
-        # the unit ideal is contained in no prime
-        return []
-    masks = [0] * len(gens)
-    for i, g in enumerate(gens):
-        for v in g:
-            masks[i] |= 1 << v
+    gens, var_bits, full = ideal.generators, ideal.var_bits, ideal.all_bits
     results = []
 
-    def has_private(chosen_mask, v_bit):
-        # some generator is hit by v_bit alone among the chosen variables
-        rest = chosen_mask & ~v_bit
-        return any(m & v_bit and not (m & rest) for m in masks)
-
-    def rec(chosen, chosen_mask, banned_mask):
-        uncovered = next((m for m in masks if not (m & chosen_mask)), None)
-        if uncovered is None:
+    # hit: the generators met by a chosen variable; hit_twice: by two or
+    # more.  The zero ideal yields the zero prime, the unit ideal nothing.
+    def rec(chosen, hit, hit_twice, banned_mask):
+        if hit == full:
             results.append(tuple(sorted(chosen)))
             return
-        candidates = uncovered & ~banned_mask
-        local_ban = banned_mask
-        while candidates:
-            low = candidates & -candidates
-            candidates &= candidates - 1
-            new_mask = chosen_mask | low
+        for v in gens[(~hit & (hit + 1)).bit_length() - 1]:  # lowest uncovered
+            if banned_mask >> v & 1:
+                continue
+            twice = hit_twice | (hit & var_bits[v])
             # dominance prune: every chosen variable must keep a private generator
-            if all(has_private(new_mask, 1 << u) for u in chosen):
-                chosen.append(low.bit_length() - 1)
-                rec(chosen, new_mask, local_ban)
+            if all(var_bits[u] & ~twice for u in chosen):
+                chosen.append(v)
+                rec(chosen, hit | var_bits[v], twice, banned_mask)
                 chosen.pop()
-            local_ban |= low
+            banned_mask |= 1 << v
 
-    rec([], 0, 0)
+    rec([], 0, 0, 0)
     return [MonomialPrime(ideal.num_vars, t) for t in sorted(results)]

@@ -1,13 +1,15 @@
 """End-to-end connectedness verification for the moduli of quiver
 representations cut out by a squarefree monomial relation ideal.
 
-The run computes, in order: the incidence weight matrix of the quiver,
-the irrelevant ideal of the stability character, the minimal primes of
-the relation ideal, the primes surviving on the semistable locus, and
-the incidence graph of those components (two components are adjacent
-when the prime generated by both supports still meets the semistable
-locus).  Connectedness of that graph certifies that the cut-out moduli
-space carries only constant global functions.
+The run checks that the character is generic (on the incidence action
+this settles Carathéodory genericity too, see theta_generic_quiver),
+lists the irrelevant ideal as the maximal spanning forests of the arrows
+with nonnegative cut values, takes the minimal primes of the relation
+ideal, keeps the components (primes not containing the irrelevant ideal,
+tested with its per-variable generator bit sets) and joins two when the
+prime generated by both supports does not contain it either.  A
+connected graph certifies that the cut-out moduli space carries only
+constant global functions.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from . import quiver as quiver_mod
 from .monomial import SquarefreeIdeal, minimal_primes
 from .toricgit import (
     StabilityCharacter,
+    UnionFind,
     WeightAction,
-    caratheodory_genericity,
-    NonGenericCharacter,
     scan_full_rank_subsets,
     theta_generic_quiver,
 )
@@ -58,22 +59,6 @@ def builtin_toric_ideal() -> SquarefreeIdeal:
     return SquarefreeIdeal(18, [list(p) for p in quiver_mod.toric_relation_arrow_pairs()])
 
 
-def _connected(n: int, edges) -> bool:
-    if n <= 1:
-        return True
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in edges:
-        parent[find(i)] = find(j)
-    return len({find(i) for i in range(n)}) == 1
-
-
 def connectedness_details(q, theta, ideal: SquarefreeIdeal, assert_reduced=False):
     """Full pipeline; returns (report, components, irrelevant_ideal)."""
     if not isinstance(theta, StabilityCharacter):
@@ -83,42 +68,22 @@ def connectedness_details(q, theta, ideal: SquarefreeIdeal, assert_reduced=False
     if ideal.num_vars != len(q.arrows):
         raise ValueError("ideal must live on the arrow coordinates")
     action = WeightAction.from_quiver(q)
-    if not caratheodory_genericity(action, theta):
-        raise NonGenericCharacter(
-            "character lies in the span of fewer than ambient_rank weights")
     full_rank_count, relevant = scan_full_rank_subsets(action, theta)
     irrelevant = SquarefreeIdeal(ideal.num_vars, relevant)
     primes = minimal_primes(ideal)
-
-    # bitmask views of the same containment tests the monomial module
-    # performs: a prime contains the irrelevant ideal exactly when its
-    # variable set meets every generator support
-    gen_masks = []
-    for g in irrelevant.generators:
-        m = 0
-        for v in g:
-            m |= 1 << v
-        gen_masks.append(m)
-
-    def meets_all(mask):
-        return all(mask & gm for gm in gen_masks)
-
-    prime_masks = []
-    for p in primes:
-        m = 0
-        for v in p.variables:
-            m |= 1 << v
-        prime_masks.append(m)
-    relevant_flags = [not meets_all(m) for m in prime_masks]
-    components = [p for p, f in zip(primes, relevant_flags) if f]
-    comp_masks = [m for m, f in zip(prime_masks, relevant_flags) if f]
+    # a prime contains the irrelevant ideal iff its variables hit every generator
+    full = irrelevant.all_bits
+    hits = [irrelevant.hit_bits(p.variables) for p in primes]
+    keep = [k for k, h in enumerate(hits) if h != full]
+    components = [primes[k] for k in keep]
+    comp_hits = [hits[k] for k in keep]
     n = len(components)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not meets_all(comp_masks[i] | comp_masks[j]):
-                edges.append((i, j))
-    connected = _connected(n, edges)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if comp_hits[i] | comp_hits[j] != full]
+    uf = UnionFind(n)
+    for i, j in edges:
+        uf.union(i, j)
+    connected = n - len(uf.merges) <= 1
     is_canonical = (ideal == builtin_toric_ideal())
     h0 = "One" if connected and (is_canonical or assert_reduced) else "Unknown"
     report = ConnectednessReport(

@@ -84,9 +84,6 @@ class StabilityCharacter:
     def __init__(self, theta):
         self.theta = tuple(_check_character_entry(v) for v in theta)
 
-    def sums_to_zero(self) -> bool:
-        return sum(self.theta) == 0
-
     def __eq__(self, other):
         return isinstance(other, StabilityCharacter) and self.theta == other.theta
 
@@ -226,7 +223,21 @@ def king_semistable(q: quiver_mod.QuiverPresentation, chi, p: CoordinatePoint) -
 
 
 def theta_generic_quiver(q: quiver_mod.QuiverPresentation, chi) -> bool:
-    """True when every nonempty proper vertex subset has nonzero sum."""
+    """True when every nonempty proper vertex subset has nonzero sum.
+
+    On the signed-incidence action of the quiver this implies
+    caratheodory_genericity, so callers that check it need not run that
+    scan.  Proof: the span of the incidence rows of an arrow set A is the
+    set of vectors summing to zero on each connected component of the
+    graph (vertices, A), of dimension n - c(A) for n vertices and c(A)
+    components (loop arrows have zero rows and change neither side).
+    The ambient rank is n - c, with c the number of components of the
+    whole quiver.  Fewer than n - c rows have rank below n - c, so they
+    leave c(A) >= c + 1 >= 2 components, and a character in their span
+    sums to zero on each of them, each a nonempty proper vertex subset.
+    (At ambient rank 0, caratheodory_genericity holds for every
+    character.)
+    """
     theta = _theta_of(chi)
     if len(theta) != len(q.vertices):
         raise DimensionMismatch("character has wrong length")
@@ -247,7 +258,8 @@ def theta_generic_quiver(q: quiver_mod.QuiverPresentation, chi) -> bool:
 
 def caratheodory_genericity(w: WeightAction, chi) -> bool:
     """True when the character lies in the span of no (ambient_rank - 1)
-    weight rows.
+    weight rows.  For the incidence action of a quiver this follows from
+    theta_generic_quiver (see there); the scan serves other actions.
 
     This guarantees that every semistable support contains a full-rank
     subset of size ambient_rank whose cone already holds the character,
@@ -299,75 +311,114 @@ def _incidence_edges(weights: IntMatrix):
     returns the (source, target) list or None when the shape differs."""
     edges = []
     for row in weights.entries:
-        src = tgt = None
-        for j, v in enumerate(row):
-            if v == -1 and src is None:
-                src = j
-            elif v == 1 and tgt is None:
-                tgt = j
-            elif v != 0:
-                return None
-        if src is None or tgt is None:
+        support = [j for j, v in enumerate(row) if v]
+        if sorted(row[j] for j in support) != [-1, 1]:
             return None
-        edges.append((src, tgt))
+        edges.append(tuple(support) if row[support[0]] == -1 else tuple(support[::-1]))
     return edges
 
 
-def _forest_flow(edges, subset, theta):
-    """Solve sum of c_e * (e_t - e_s) = theta on an acyclic edge subset.
+class UnionFind:
+    """Disjoint sets of 0..n-1, joined by size and never path-compressed,
+    so that unions (merges: the absorbed roots) can be undone in reverse
+    order; union returns the surviving root, or None for one set."""
 
-    Returns the coefficient list or None when theta is not reachable or
-    some coefficient is negative.  Exact integer leaf peeling.
-    """
-    nverts = len(theta)
-    inc = [[] for _ in range(nverts)]
-    for e in subset:
-        s, t = edges[e]
-        inc[s].append(e)
-        inc[t].append(e)
-    need = list(theta)
-    remaining = set(subset)
-    degree = [len(inc[v]) for v in range(nverts)]
-    leaves = [v for v in range(nverts) if degree[v] == 1]
-    coeffs = {}
-    while leaves:
-        v = leaves.pop()
-        e = next((e for e in inc[v] if e in remaining), None)
-        if e is None:
-            continue
-        s, t = edges[e]
-        c = need[v] if t == v else -need[v]
-        if c < 0:
-            return None
-        coeffs[e] = c
-        need[s] += c
-        need[t] -= c
-        remaining.discard(e)
-        for u in (s, t):
-            degree[u] -= 1
-            if degree[u] == 1:
-                leaves.append(u)
-    if remaining or any(need):
-        return None
-    return coeffs
+    __slots__ = ("parent", "size", "merges")
 
+    def __init__(self, n: int):
+        self.parent, self.size, self.merges = list(range(n)), [1] * n, []
 
-def _acyclic(edges, subset, nverts):
-    parent = list(range(nverts))
-
-    def find(x):
+    def find(self, x: int) -> int:
+        parent = self.parent
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for e in subset:
-        s, t = edges[e]
-        rs, rt = find(s), find(t)
-        if rs == rt:
+    def union(self, a: int, b: int):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return None
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.merges.append(rb)
+        return ra
+
+    def undo(self):
+        rb = self.merges.pop()
+        self.size[self.parent[rb]] -= self.size[rb]
+        self.parent[rb] = rb
+
+
+def _cut_values_nonnegative(adj, theta) -> bool:
+    """Cone membership on a maximal spanning forest, adj[v] listing (w, +1)
+    per edge v -> w and (w, -1) per w -> v.  An edge's coefficient is its
+    cut value, the theta-sum of the subtree on its head side; these must
+    be nonnegative, and theta must sum to zero on every component."""
+    sub = list(theta)
+    seen = [False] * len(theta)
+    for root in range(len(theta)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [(root, root, 0)]  # (vertex, parent, sign), breadth-first
+        for v, _parent, _sign in order:
+            for w, sign in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append((w, v, sign))
+        for v, parent, sign in reversed(order[1:]):
+            # parent -> v carries sub[v], v -> parent -sub[v] (zero-sum component)
+            if sign * sub[v] < 0:
+                return False
+            sub[parent] += sub[v]
+        if sub[root]:
             return False
-        parent[rs] = rt
     return True
+
+
+def _spanning_forest_scan(edges, nverts, size, theta):
+    """(count, relevant) over the maximal spanning forests, in lexicographic
+    order, by include/exclude recursion over the edges with an undoable
+    union-find (Read and Tarjan, Networks 5, 1975).  An edge joining two
+    sets is left out only while both touch a later edge: else one could
+    never grow."""
+    m, uf, adj = len(edges), UnionFind(nverts), [[] for _ in range(nverts)]
+    reach = [-1] * nverts  # per root: the last edge index touching its set
+    for i, (s, t) in enumerate(edges):
+        reach[s] = reach[t] = i
+    chosen, relevant, trees = [], [], 0
+
+    def rec(i):
+        nonlocal trees
+        if len(chosen) == size:
+            trees += 1
+            if _cut_values_nonnegative(adj, theta):
+                relevant.append(tuple(chosen))
+            return
+        if m - i < size - len(chosen):
+            return
+        s, t = edges[i]
+        rs, rt = uf.find(s), uf.find(t)
+        if rs == rt:
+            return rec(i + 1)
+        joined = uf.union(rs, rt)
+        reach_before, reach[joined] = reach[joined], max(reach[rs], reach[rt])
+        chosen.append(i)
+        adj[s].append((t, 1))
+        adj[t].append((s, -1))
+        rec(i + 1)
+        adj[s].pop()
+        adj[t].pop()
+        chosen.pop()
+        reach[joined] = reach_before
+        uf.undo()
+        if reach[rs] > i and reach[rt] > i:
+            rec(i + 1)
+
+    rec(0)
+    return trees, relevant
 
 
 def scan_full_rank_subsets(w: WeightAction, chi):
@@ -375,38 +426,30 @@ def scan_full_rank_subsets(w: WeightAction, chi):
 
     Returns (full_rank_count, relevant) where relevant lists the subsets
     whose weight rows both have full ambient rank and span a cone
-    containing the character.  For signed-incidence weights the rank
-    test reduces to acyclicity of the edge subset and membership to an
-    integer flow on a forest; otherwise exact elimination and a unique
-    solve are used.
+    containing the character, in lexicographic order.  For
+    signed-incidence weights the full-rank subsets are the maximal
+    spanning forests of the arrows, enumerated directly, and membership
+    is read off their cut values; otherwise every subset gets exact
+    elimination and a unique solve.
     """
     theta = _theta_of(chi)
     if len(theta) != w.weights.cols:
         raise DimensionMismatch("character has wrong length")
-    n = w.coordinates
     r = w.ambient_rank
     edges = _incidence_edges(w.weights)
-    full_rank = 0
-    relevant = []
     if edges is not None:
-        nverts = w.weights.cols
-        for subset in combinations(range(n), r):
-            if not _acyclic(edges, subset, nverts):
-                continue
-            full_rank += 1
-            if _forest_flow(edges, subset, theta) is not None:
-                relevant.append(subset)
-    else:
-        rows = [list(row) for row in w.weights.entries]
-        for subset in combinations(range(n), r):
-            sub = [rows[i] for i in subset]
-            if _int_row_reduce(sub)[0] != r:
-                continue
-            full_rank += 1
-            cols = [[sub[j][i] for j in range(r)] for i in range(len(theta))]
-            x = solve_unique(IntMatrix(cols).to_rational(), theta)
-            if x is not None and all(v >= 0 for v in x):
-                relevant.append(subset)
+        return _spanning_forest_scan(edges, w.weights.cols, r, theta)
+    full_rank, relevant = 0, []
+    rows = [list(row) for row in w.weights.entries]
+    for subset in combinations(range(w.coordinates), r):
+        sub = [rows[i] for i in subset]
+        if _int_row_reduce(sub)[0] != r:
+            continue
+        full_rank += 1
+        cols = [[sub[j][i] for j in range(r)] for i in range(len(theta))]
+        x = solve_unique(IntMatrix(cols).to_rational(), theta)
+        if x is not None and all(v >= 0 for v in x):
+            relevant.append(subset)
     return full_rank, relevant
 
 

@@ -226,3 +226,23 @@ def test_stability_non_summing_theta_is_a_precondition_failure(tmp_path):
     code = main(["stability", "--point", point, "--theta", "1,0,0,0,0,0,0,0,0",
                  "--method", "king", "--out", str(tmp_path / "x.json")])
     assert code == 2
+
+
+def test_connectedness_rejects_non_integer_variables(tmp_path, capsys):
+    for bad in ("1.5", "true"):
+        ideal = '{"numVars": 18, "generators": [[%s]]}' % bad
+        code = main(["connectedness", "--ideal", ideal])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "bad ideal" in captured.err
+
+
+def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "x.json"
+    code = main(["lattice", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert not target.exists()
+    assert "Traceback" not in captured.err
+    assert "cannot write" in captured.err

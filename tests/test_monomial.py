@@ -137,3 +137,24 @@ def test_output_is_sorted_and_deterministic():
     first = [p.variables for p in minimal_primes(ideal)]
     second = [p.variables for p in minimal_primes(ideal)]
     assert first == second == sorted(first)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None])
+def test_variables_must_be_ints(bad):
+    # int() would silently turn these into a different ideal or prime
+    with pytest.raises(TypeError):
+        SquarefreeIdeal(4, [[0, bad]])
+    with pytest.raises(TypeError):
+        MonomialPrime(4, [bad])
+    with pytest.raises(TypeError):
+        SquarefreeIdeal(bad, [])
+
+
+def test_generator_bit_sets():
+    ideal = SquarefreeIdeal(5, [(3, 4), (0, 1), (1, 2)])
+    assert ideal.generators == ((0, 1), (1, 2), (3, 4))
+    assert ideal.var_bits == [0b001, 0b011, 0b010, 0b100, 0b100]
+    assert ideal.all_bits == 0b111
+    assert ideal.hit_bits((1, 3)) == 0b111
+    assert ideal.hit_bits((0, 2)) == 0b011
+    assert SquarefreeIdeal(3, []).all_bits == 0

@@ -354,3 +354,16 @@ def test_json_io():
     chi = toricgit.character_from_json(data)
     assert chi.theta == (1, 1)
     assert hm_semistable(action, chi, CoordinatePoint(2, (0, 1)))
+
+
+def test_forest_scan_on_a_disconnected_multigraph():
+    # two parallel arrows 0 -> 1, one arrow 2 -> 3 and an isolated vertex
+    # 4: ambient rank 2 < 4 vertices - 1, so the full-rank subsets are the
+    # maximal spanning forests, and theta must vanish on every component
+    q = quiver.QuiverPresentation(
+        ["0", "1", "2", "3", "4"], [("a", 0, 1), ("b", 0, 1), ("c", 2, 3)])
+    action = WeightAction.from_quiver(q)
+    assert action.ambient_rank == 2
+    assert scan_full_rank_subsets(action, (-1, 1, -2, 2, 0)) == (2, [(0, 2), (1, 2)])
+    assert scan_full_rank_subsets(action, (-1, 1, 2, -2, 0)) == (2, [])
+    assert scan_full_rank_subsets(action, (-1, 1, -1, 2, -1)) == (2, [])
