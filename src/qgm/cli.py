@@ -41,12 +41,17 @@ def _parse_rational(text) -> Fraction:
 
 
 def _parse_theta(text):
+    """A character of the canonical quiver: 'default' or one int per vertex."""
     if text == "default":
         return toricgit.SPECIAL_THETA
     try:
-        return toricgit.StabilityCharacter([int(v) for v in text.split(",")])
+        theta = toricgit.StabilityCharacter([int(v) for v in text.split(",")])
     except ValueError as exc:
         raise CliError(f"bad theta {text!r}: {exc}", EXIT_PARSE) from exc
+    vertices = len(toricgit.SPECIAL_THETA.theta)
+    if len(theta.theta) != vertices:
+        raise CliError(f"bad theta {text!r}: needs {vertices} entries", EXIT_PARSE)
+    return theta
 
 
 def _load_json_arg(text):
@@ -109,7 +114,7 @@ def _cmd_connectedness(args) -> int:
     except pipeline.NonGenericTheta as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ValueError as exc:  # ideal/character shape mismatch
+    except ValueError as exc:  # ideal shape mismatch
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     _emit(report.to_json(), args.out)
@@ -192,7 +197,11 @@ def _cmd_picard(args) -> int:
 
 
 def _parse_point(data):
+    if not isinstance(data, dict):
+        raise CliError("point JSON must be an object", EXIT_PARSE)
     if "values" in data:
+        if not isinstance(data["values"], list):
+            raise CliError("point 'values' must be a list", EXIT_PARSE)
         vals = [_parse_rational(v if v is not None else 0) for v in data["values"]]
         if len(vals) != 18:
             raise CliError("point needs 18 values", EXIT_PARSE)
@@ -241,14 +250,20 @@ def _cmd_stability(args) -> int:
     theta = _parse_theta(args.theta)
     q = quiver.canonical_quiver()
     action = toricgit.WeightAction.from_quiver(q)
+    if args.fuzz < 0:
+        raise CliError("--fuzz must not be negative", EXIT_PARSE)
     if args.fuzz:
         rng = random.Random(args.seed)
         agree = 0
-        for _ in range(args.fuzz):
-            point = _random_point(rng)
-            verdicts = _stability_verdicts(q, action, theta, point, "both")
-            if verdicts["agreement"]:
-                agree += 1
+        try:
+            for _ in range(args.fuzz):
+                point = _random_point(rng)
+                verdicts = _stability_verdicts(q, action, theta, point, "both")
+                if verdicts["agreement"]:
+                    agree += 1
+        except ValueError as exc:  # e.g. character does not sum to zero
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
         report = {
             "points": args.fuzz,
             "seed": args.seed,

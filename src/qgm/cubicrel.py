@@ -156,9 +156,10 @@ def _kernel_triple(forms):
         return None
     monos = monomials_of_degree(degree)
     rows = [[f.coefficient(m) for f in forms] for m in monos]
-    from .exactlin import _int_row_reduce, _scaled_int_rows
+    from .exactlin import _int_row, _int_row_reduce
 
-    r, piv_rows, piv_cols = _int_row_reduce(_scaled_int_rows(RatMatrix(rows)))
+    r, piv_rows, piv_cols = _int_row_reduce(
+        [_int_row(row)[1] for row in RatMatrix(rows).entries])
     if r != 2:
         return None
     # back-substitute the 2-pivot system over the 3 unknowns

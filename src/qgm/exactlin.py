@@ -4,14 +4,17 @@ Everything in this module is exact: entries are Python ints or
 ``fractions.Fraction`` and no floating point is used anywhere.  It
 provides the primitives the rest of the package is built on: rank,
 unique solving, integer kernel lattices, Smith normal form, and
-nonnegative-combination (conic) feasibility via a two-phase simplex
-with Bland's anti-cycling rule.
+nonnegative-combination (conic) feasibility.  Rank and conic
+feasibility run fraction-free on integer rows: conic feasibility is a
+two-phase simplex with Bland's anti-cycling rule whose tableau rows are
+positive integer multiples of the rational rows, so it takes the
+pivots of the rational simplex and returns the same certificates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class DimensionMismatch(ValueError):
@@ -109,9 +112,7 @@ def identity_int(n: int) -> IntMatrix:
 # rank and span membership (fraction-free integer elimination)
 
 def _strip_content(row):
-    g = 0
-    for v in row:
-        g = gcd(g, v)
+    g = gcd(*row)
     if g > 1:
         return [v // g for v in row]
     return row
@@ -171,23 +172,12 @@ def _reduce_against_pivots(vec, piv_rows, piv_cols):
     return v
 
 
-def _scaled_int_rows(m: RatMatrix):
-    out = []
-    for row in m.entries:
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        out.append([int(x * lcm) for x in row])
-    return out
-
-
 def rank(m) -> int:
     """Rank over Q, computed by exact fraction-free elimination."""
     if isinstance(m, IntMatrix):
         return _int_row_reduce(m.entries)[0]
     if isinstance(m, RatMatrix):
-        return _int_row_reduce(_scaled_int_rows(m))[0]
+        return _int_row_reduce([_int_row(row)[1] for row in m.entries])[0]
     raise TypeError("rank expects RatMatrix or IntMatrix")
 
 
@@ -416,16 +406,26 @@ def integer_kernel_basis(m: IntMatrix):
 
 
 # ---------------------------------------------------------------------------
-# conic feasibility (exact two-phase simplex, Bland's rule)
+# conic feasibility (fraction-free two-phase simplex, Bland's rule)
+#
+# The tableau holds integers only.  Row i is s_i times the row of the
+# rational tableau the textbook simplex would hold, for some s_i > 0, and
+# is kept divided by its content; its basic variable therefore has the
+# coefficient s_i > 0, and its basic value is T[i][-1] / T[i][basis[i]].
+# Signs, ratio comparisons and hence every pivot choice are those of the
+# rational simplex, so the basis and the certificate are the same.
 
 def _pivot(T, basis, r, c):
-    piv = T[r][c]
-    T[r] = [v / piv for v in T[r]]
     prow = T[r]
-    for i in range(len(T)):
-        if i != r and T[i][c]:
-            f = T[i][c]
-            T[i] = [a - f * b for a, b in zip(T[i], prow)]
+    p = prow[c]
+    if p < 0:
+        prow = [-v for v in prow]
+        p = -p
+        T[r] = prow
+    for i, row in enumerate(T):
+        f = row[c]
+        if f and i != r:
+            T[i] = _strip_content([p * a - f * b for a, b in zip(row, prow)])
     basis[r] = c
 
 
@@ -434,7 +434,8 @@ def _bland_minimize(T, basis, ncols):
 
     Entering variable: lowest column index with negative reduced cost.
     Leaving variable: among the minimum-ratio rows, the one whose basic
-    variable has the lowest index.  Bland's rule guarantees termination.
+    variable has the lowest index; ratios are compared by
+    cross-multiplication.  Bland's rule guarantees termination.
     """
     m = len(T) - 1
     while True:
@@ -442,47 +443,52 @@ def _bland_minimize(T, basis, ncols):
         e = next((j for j in range(ncols) if obj[j] < 0), None)
         if e is None:
             return
-        best = None
         leave = None
         for i in range(m):
             a = T[i][e]
             if a > 0:
-                ratio = T[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+                rhs = T[i][-1]
+                if leave is None:
+                    best_rhs, best_a, leave = rhs, a, i
+                else:
+                    lhs, cur = rhs * best_a, best_rhs * a
+                    if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
+                        best_rhs, best_a, leave = rhs, a, i
         if leave is None:
             raise ArithmeticError("unbounded linear program")
         _pivot(T, basis, leave, e)
 
 
-def _phase_one(arows, b):
+def _phase_one(rows, n):
     """Find a basic feasible solution of Ax = b, x >= 0.
 
-    Returns (T, basis, n) restricted to the n original columns, or None
-    when the system is infeasible.
+    ``rows`` holds one ``(scale, [a_1, ..., a_n, b])`` pair per equation,
+    the integer row being ``scale`` times the rational one (see
+    ``_int_row``).  Returns (T, basis, n) restricted to the n original
+    columns, or None when the system is infeasible.
     """
-    m = len(arows)
-    n = len(arows[0]) if m else 0
-    T = []
-    for i in range(m):
-        row = [_rat(v) for v in arows[i]]
-        rhs = _rat(b[i])
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        T.append(row + art + [rhs])
+    m = len(rows)
     ncols = n + m
+    T = []
+    scale_lcm = 1
+    for i, (s, row) in enumerate(rows):
+        if row[-1] < 0:
+            row = [-v for v in row]
+        # the artificial variable of row i has the rational coefficient 1,
+        # so its integer coefficient is the row's scale
+        art = [0] * m
+        art[i] = s
+        T.append(row[:n] + art + [row[-1]])
+        scale_lcm = lcm(scale_lcm, s)
     basis = list(range(n, ncols))
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(n, ncols):
-        obj[j] = Fraction(1)
-    for i in range(m):
-        obj = [a - b2 for a, b2 in zip(obj, T[i])]
-    T.append(obj)
+    # reduced costs of "minimize the sum of artificials", times scale_lcm
+    obj = [0] * n + [scale_lcm] * m + [0]
+    for (s, _row), trow in zip(rows, T):
+        k = scale_lcm // s
+        obj = [a - k * b for a, b in zip(obj, trow)]
+    T.append(_strip_content(obj))
     _bland_minimize(T, basis, ncols)
-    if T[-1][-1] != 0:  # optimum of sum of artificials is -T[-1][-1]
+    if T[-1][-1] != 0:  # optimum of sum of artificials is -T[-1][-1] / scale
         return None
     T.pop()
     # drive artificial variables out of the basis, dropping redundant rows
@@ -496,34 +502,62 @@ def _phase_one(arows, b):
                 continue
             _pivot(T, basis, i, c)
         i += 1
-    T = [row[:n] + [row[-1]] for row in T]
+    T = [_strip_content(row[:n] + [row[-1]]) for row in T]
     return T, basis, n
+
+
+def _exact_row(row):
+    """The entries of row, kept as ints when they all are, else as
+    Fractions (floats are rejected)."""
+    row = tuple(row)
+    if set(map(type, row)) <= {int}:
+        return row
+    return tuple(_rat(v) for v in row)
+
+
+def _int_row(vals):
+    """``(s, ints)`` with ``ints == s * vals`` and ``s`` the least common
+    denominator of the exact (int or Fraction) entries of vals."""
+    if set(map(type, vals)) <= {int}:
+        return 1, list(vals)
+    s = lcm(*(v.denominator for v in vals))
+    return s, [v.numerator * (s // v.denominator) for v in vals]
+
+
+def _checked_input(generators, target):
+    target = _exact_row(target)
+    gens = [_exact_row(g) for g in generators]
+    d = len(target)
+    for g in gens:
+        if len(g) != d:
+            raise DimensionMismatch("generator/target dimension mismatch")
+    return gens, target
 
 
 def conic_feasible(generators, target):
     """Nonnegative rational coefficients writing target over the generators.
 
-    Returns a list of coefficients c with sum(c_i * gen_i) == target, or
-    None when target is outside the cone.  Exact rational feasibility
-    with a deterministic anti-cycling pivot rule; always terminates.
+    Returns a list of Fraction coefficients c with
+    sum(c_i * gen_i) == target, or None when target is outside the cone.
+    Exact rational feasibility with a deterministic anti-cycling pivot
+    rule; always terminates.
     """
-    target = tuple(_rat(x) for x in target)
-    d = len(target)
-    gens = [tuple(_rat(x) for x in g) for g in generators]
-    for g in gens:
-        if len(g) != d:
-            raise DimensionMismatch("generator/target dimension mismatch")
+    gens, target = _checked_input(generators, target)
     n = len(gens)
-    arows = [[gens[j][i] for j in range(n)] for i in range(d)]
-    res = _phase_one(arows, target)
+    rows = [_int_row([g[i] for g in gens] + [t]) for i, t in enumerate(target)]
+    res = _phase_one(rows, n)
     if res is None:
         return None
     T, basis, _n = res
     x = [Fraction(0)] * n
-    for i, bv in enumerate(basis):
-        x[bv] = T[i][-1]
-    for i in range(d):  # re-verify the certificate by multiplication
-        if sum(x[j] * gens[j][i] for j in range(n)) != target[i]:
+    for row, bv in zip(T, basis):
+        x[bv] = Fraction(row[-1], row[bv])
+    # re-verify the certificate by multiplication, over its common
+    # denominator
+    den = lcm(*(v.denominator for v in x))
+    scaled = [(g, v.numerator * (den // v.denominator)) for g, v in zip(gens, x) if v]
+    for i, t in enumerate(target):
+        if sum(k * g[i] for g, k in scaled) != den * t:
             raise ArithmeticError("simplex returned an invalid certificate")
     return x
 
@@ -537,37 +571,30 @@ def strictly_conic_feasible(generators, target, ambient_rank=None):
     caller holding the weights of a fixed torus action passes the rank
     of the full weight matrix instead.
     """
-    target = tuple(_rat(x) for x in target)
-    d = len(target)
-    gens = [tuple(_rat(x) for x in g) for g in generators]
-    for g in gens:
-        if len(g) != d:
-            raise DimensionMismatch("generator/target dimension mismatch")
+    gens, target = _checked_input(generators, target)
     if ambient_rank is None:
-        ambient_rank = d
-    if rank(RatMatrix(gens) if gens else RatMatrix([])) != ambient_rank:
+        ambient_rank = len(target)
+    if _int_row_reduce([_int_row(g)[1] for g in gens])[0] != ambient_rank:
         return False
     n = len(gens)
-    ssum = [sum(g[i] for g in gens) for i in range(d)] if gens else [Fraction(0)] * d
     # maximize eps subject to  G d + eps * ssum = target,  eps <= 1
-    arows = [[gens[j][i] for j in range(n)] + [ssum[i], Fraction(0)] for i in range(d)]
-    arows.append([Fraction(0)] * n + [Fraction(1), Fraction(1)])
-    b = list(target) + [Fraction(1)]
-    res = _phase_one(arows, b)
+    rows = []
+    for i, t in enumerate(target):
+        col = [g[i] for g in gens]
+        rows.append(_int_row(col + [sum(col), 0, t]))
+    rows.append((1, [0] * n + [1, 1, 1]))
+    res = _phase_one(rows, n + 2)
     if res is None:
         return False
     T, basis, ncols = res
-    obj = [Fraction(0)] * (ncols + 1)
-    obj[n] = Fraction(-1)  # maximize eps == minimize -eps
-    for i, bv in enumerate(basis):
-        if obj[bv]:
-            f = obj[bv]
-            obj = [a - f * bb for a, bb in zip(obj, T[i])]
+    obj = [0] * (ncols + 1)
+    obj[n] = -1  # maximize eps == minimize -eps
+    for row, bv in zip(T, basis):
+        f = obj[bv]
+        if f:
+            s = row[bv]
+            obj = _strip_content([s * a - f * b for a, b in zip(obj, row)])
     T.append(obj)
     _bland_minimize(T, basis, ncols)
     T.pop()
-    eps = Fraction(0)
-    for i, bv in enumerate(basis):
-        if bv == n:
-            eps = T[i][-1]
-    return eps > 0
+    return any(bv == n and row[-1] > 0 for row, bv in zip(T, basis))

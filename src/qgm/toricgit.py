@@ -19,6 +19,7 @@ from . import quiver as quiver_mod
 from .exactlin import (
     DimensionMismatch,
     IntMatrix,
+    _check_int,
     _int_row_reduce,
     _reduce_against_pivots,
     _strip_content,
@@ -70,19 +71,13 @@ class WeightAction:
         return {"weights": [list(r) for r in self.weights.entries]}
 
 
-def _check_character_entry(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"character entries must be ints, got {v!r}")
-    return v
-
-
 class StabilityCharacter:
     """An integer character of the acting torus."""
 
     __slots__ = ("theta",)
 
     def __init__(self, theta):
-        self.theta = tuple(_check_character_entry(v) for v in theta)
+        self.theta = tuple(_check_int(v) for v in theta)
 
     def __eq__(self, other):
         return isinstance(other, StabilityCharacter) and self.theta == other.theta
@@ -107,13 +102,13 @@ class CoordinatePoint:
 
     def __init__(self, dim: int, support, values=None):
         self.dim = dim
-        self.support = frozenset(int(i) for i in support)
+        self.support = frozenset(_check_int(i) for i in support)
         if any(i < 0 or i >= dim for i in self.support):
             raise ValueError("support index out of range")
         if values is not None:
             vals = {}
             for i, v in values.items():
-                i = int(i)
+                i = _check_int(i)
                 if isinstance(v, float):
                     raise TypeError("floating-point values are not allowed")
                 v = Fraction(v)
@@ -139,7 +134,7 @@ class CoordinatePoint:
 def _theta_of(chi):
     if isinstance(chi, StabilityCharacter):
         return chi.theta
-    return tuple(_check_character_entry(v) for v in chi)
+    return tuple(_check_int(v) for v in chi)
 
 
 # ---------------------------------------------------------------------------

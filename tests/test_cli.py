@@ -246,3 +246,56 @@ def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):
     assert not target.exists()
     assert "Traceback" not in captured.err
     assert "cannot write" in captured.err
+
+
+def test_stability_point_values_must_be_a_list(capsys):
+    for point in ('{"values": 5}', '{"values": "123456789012345678"}'):
+        code = main(["stability", "--point", point])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+
+def test_stability_point_json_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text("5")
+    assert main(["stability", "--point", str(path)]) == 3
+    assert "must be an object" in capsys.readouterr().err
+
+
+def test_stability_support_must_hold_ints(capsys):
+    for support in ("[1.5, 2, 3]", "[true, 2, 3]", '"123"'):
+        for method in ("king", "cone", "both"):
+            code = main(["stability", "--method", method,
+                         "--point", '{"support": %s}' % support])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert "bad support" in captured.err
+
+
+def test_stability_negative_fuzz_is_a_parse_error(capsys):
+    assert main(["stability", "--fuzz", "-3"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_theta_of_wrong_length_is_a_parse_error(capsys):
+    point = json.dumps({"support": [0, 1]})
+    for argv in (["stability", "--point", point],
+                 ["stability", "--point", point, "--method", "cone"],
+                 ["stability", "--fuzz", "3"],
+                 ["connectedness"]):
+        for theta in ("1,-1", "1,-1,0,0,0,0,0,0,0,0"):
+            code = main(argv + ["--theta", theta])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert "needs 9 entries" in captured.err
+
+
+def test_stability_fuzz_non_summing_theta_is_a_precondition_failure(capsys):
+    code = main(["stability", "--fuzz", "3", "--theta", "1,0,0,0,0,0,0,0,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err

@@ -1,9 +1,10 @@
-"""Frozen stdout and exit codes of fixed `qgm connectedness` runs.
+"""Frozen stdout and exit codes of fixed `qgm connectedness` and
+`qgm stability` runs.
 
-The data file holds, per case, the argv, the exit code and the exact
-stdout the command printed when the case was frozen; the ideals are
-stored literally in the argv.  Any change to the connectedness pipeline
-must reproduce every byte.
+Each data file holds, per case, the argv, the exit code and the exact
+stdout the command printed when the case was frozen; ideals and points
+are stored literally in the argv.  Any change to the connectedness
+pipeline or to the stability tests must reproduce every byte.
 """
 
 import contextlib
@@ -15,15 +16,31 @@ import pytest
 
 from qgm import cli
 
-with open(os.path.join(os.path.dirname(__file__), "data",
-                       "connectedness_golden.json"), encoding="utf-8") as _fh:
-    CASES = json.load(_fh)
+
+def _load(name):
+    with open(os.path.join(os.path.dirname(__file__), "data", name),
+              encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_connectedness_stdout_is_frozen(case):
+CASES = _load("connectedness_golden.json")
+STABILITY_CASES = _load("stability_golden.json")
+
+
+def _check(case):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(case["argv"])
     assert code == case["exit"]
     assert buf.getvalue() == case["stdout"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_connectedness_stdout_is_frozen(case):
+    _check(case)
+
+
+@pytest.mark.parametrize("case", STABILITY_CASES,
+                         ids=[c["name"] for c in STABILITY_CASES])
+def test_stability_stdout_is_frozen(case):
+    _check(case)

@@ -367,3 +367,12 @@ def test_forest_scan_on_a_disconnected_multigraph():
     assert scan_full_rank_subsets(action, (-1, 1, -2, 2, 0)) == (2, [(0, 2), (1, 2)])
     assert scan_full_rank_subsets(action, (-1, 1, 2, -2, 0)) == (2, [])
     assert scan_full_rank_subsets(action, (-1, 1, -1, 2, -1)) == (2, [])
+
+
+def test_coordinate_point_indices_must_be_ints():
+    for bad in (1.5, True, "1"):
+        with pytest.raises(TypeError):
+            CoordinatePoint(18, [0, bad])
+        with pytest.raises(TypeError):
+            CoordinatePoint(18, [1], {bad: 1})
+    assert CoordinatePoint(18, [0, 1], {0: 1, 1: "1/2"}).values[1] == Fraction(1, 2)
