@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import cubicrel, picard, pipeline, quiver, toricgit
 from .monomial import SquarefreeIdeal
@@ -78,19 +78,6 @@ def _emit(report: dict, out_path):
             raise CliError(f"cannot write {out_path!r}: {exc}", EXIT_PARSE) from exc
     else:
         sys.stdout.write(text)
-
-
-def _resolve_jobs(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        jobs = os.environ.get("QGM_JOBS", "1")
-    try:
-        jobs = int(jobs)
-    except ValueError as exc:
-        raise CliError(f"bad jobs value {jobs!r}", EXIT_PARSE) from exc
-    if jobs < 1:
-        raise CliError("jobs must be at least 1", EXIT_PARSE)
-    return jobs
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +161,9 @@ def _cmd_picard(args) -> int:
     code = EXIT_OK
     for check in checks:
         if check == "gram":
-            ok = picard.verify_gram_matrix()
-            report["gram"] = {"pass": ok, "matrix": picard.gram_matrix()}
+            matrix = picard.gram_matrix()
+            ok = matrix == picard.expected_gram()
+            report["gram"] = {"pass": ok, "matrix": matrix}
         elif check == "roots":
             rec = picard.root_system_check()
             ok = rec["root_count"] == 72 and rec["cartan_match"]
@@ -246,10 +234,15 @@ def _stability_verdicts(q, action, theta, point, method):
     return out
 
 
+@lru_cache(maxsize=1)
+def _canonical_action() -> toricgit.WeightAction:
+    return toricgit.WeightAction.from_quiver(quiver.canonical_quiver())
+
+
 def _cmd_stability(args) -> int:
     theta = _parse_theta(args.theta)
     q = quiver.canonical_quiver()
-    action = toricgit.WeightAction.from_quiver(q)
+    action = _canonical_action()
     if args.fuzz < 0:
         raise CliError("--fuzz must not be negative", EXIT_PARSE)
     if args.fuzz:
@@ -287,13 +280,15 @@ def _cmd_stability(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  `parse_args` returns a fresh
+    namespace per call, and help and errors go to the `sys.stdout` and
+    `sys.stderr` current at that call."""
     parser = argparse.ArgumentParser(
         prog="qgm",
         description="Exact toric-GIT computations for quiver moduli on "
                     "marked cubic surfaces.")
-    parser.add_argument("--jobs", default=None,
-                        help="cap on worker count (default: QGM_JOBS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("connectedness",
@@ -337,7 +332,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
-        _resolve_jobs(args)
         handler = {
             "connectedness": _cmd_connectedness,
             "relations": _cmd_relations,

@@ -194,27 +194,36 @@ def root_system_check(bound: int = 3) -> dict:
     """Count the (-2)-vectors orthogonal to delta inside the coefficient
     box |a_i| <= bound, and compare the Gram matrix of the standard
     simple-root basis of that complement with the negated E6 Cartan
-    matrix."""
-    roots = []
+    matrix.
 
-    def rec(idx, vec, pair_sum, sq):
-        # pair_sum tracks delta . r so far; sq tracks -r.r contribution of e_1..
-        if idx == RANK:
-            if pair_sum == 0 and vec[0] * vec[0] - sq == -2:
+    The walk covers the whole box.  Given a0, r . delta = 0 and
+    r . r = -2 say that a1..a6 have sum S = -3 a0 and square sum
+    Q = a0^2 + 2.  A branch with k coordinates left is cut when they
+    cannot pay the S and Q still owed: Q < 0, |S| > bound k,
+    S^2 > k Q (Cauchy-Schwarz) or S, Q of different parity
+    (a = a^2 mod 2).  Each cut is a necessary condition, so no root in
+    the box is lost.
+    """
+    roots = []
+    vec = []
+
+    def rec(k, owed_sum, owed_sq):
+        if (owed_sq < 0 or abs(owed_sum) > bound * k
+                or owed_sum * owed_sum > k * owed_sq or (owed_sum - owed_sq) % 2):
+            return
+        if k == 0:
+            if owed_sq == 0:
                 roots.append(tuple(vec))
             return
         for a in range(-bound, bound + 1):
-            nsq = sq + a * a
-            if nsq > vec[0] * vec[0] + 2:
-                if a > 0:
-                    break
-                continue
             vec.append(a)
-            rec(idx + 1, vec, pair_sum + a, nsq)
+            rec(k - 1, owed_sum - a, owed_sq - a * a)
             vec.pop()
 
     for a0 in range(-bound, bound + 1):
-        rec(1, [a0], 3 * a0, 0)
+        vec.append(a0)
+        rec(RANK - 1, -3 * a0, a0 * a0 + 2)
+        vec.pop()
 
     simple = [
         _divisor((1, 1), (-1, 2)),

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlin import IntMatrix
+from .exactlin import IntMatrix, _check_int, _rat
 
 
 class UnknownVertex(ValueError):
@@ -34,12 +34,6 @@ class DegeneratePotential(ValueError):
     """A back-arrow cyclic derivative vanished where a relation was expected."""
 
 
-def _rat(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("floating-point coefficients are not allowed")
-    return Fraction(x)
-
-
 class QuiverPresentation:
     """A finite quiver: ordered vertices and ordered labeled arrows."""
 
@@ -51,7 +45,7 @@ class QuiverPresentation:
             raise ValueError("duplicate vertex labels")
         arr = []
         for label, src, tgt in arrows:
-            src, tgt = int(src), int(tgt)
+            src, tgt = _check_int(src), _check_int(tgt)
             if not (0 <= src < len(self.vertices) and 0 <= tgt < len(self.vertices)):
                 raise UnknownVertex(f"arrow {label!r} has an invalid endpoint")
             arr.append((str(label), src, tgt))
@@ -547,7 +541,7 @@ def relation_set_from_json(data) -> RelationSet:
         key = (q.vertex_index(block["source"]), q.vertex_index(block["target"]))
         combos = []
         for combo in block["relations"]:
-            combos.append([(Fraction(t["coeff"]), Path(q, t["path"])) for t in combo])
+            combos.append([(_rat(t["coeff"]), Path(q, t["path"])) for t in combo])
         rels[key] = combos
     return RelationSet(q, rels)
 
@@ -562,4 +556,4 @@ def potential_to_json(phi: Potential) -> dict:
 
 def potential_from_json(data) -> Potential:
     q = quiver_from_json(data["quiver"])
-    return Potential(q, [(Fraction(t["coeff"]), t["cycle"]) for t in data["terms"]])
+    return Potential(q, [(_rat(t["coeff"]), t["cycle"]) for t in data["terms"]])

@@ -179,18 +179,6 @@ def test_outputs_are_deterministic(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
-def test_jobs_env_and_flag(tmp_path, monkeypatch):
-    monkeypatch.setenv("QGM_JOBS", "4")
-    code, data, _ = run_cli(tmp_path, "lattice", "--quiver", "Q")
-    assert code == 0
-    code = main(["--jobs", "0", "lattice", "--out", str(tmp_path / "x.json")])
-    assert code == 3
-    code, data, _ = run_cli(tmp_path, "--jobs", "2", "lattice")
-    assert code == 0
-    monkeypatch.setenv("QGM_JOBS", "bad")
-    assert main(["lattice", "--out", str(tmp_path / "y.json")]) == 3
-
-
 def test_help_exits_cleanly():
     assert main(["--help"]) == 0
     assert main(["picard", "--help"]) == 0
@@ -299,3 +287,39 @@ def test_stability_fuzz_non_summing_theta_is_a_precondition_failure(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "Traceback" not in captured.err
+
+
+def test_parser_is_reused_without_carrying_values(tmp_path, capsys):
+    from qgm.cli import build_parser
+
+    assert build_parser() is build_parser()
+    support = '{"support": [0, 1, 2, 3, 4, 5, 6, 7, 8]}'
+    out = tmp_path / "fuzz.json"
+    assert main(["stability", "--fuzz", "3", "--seed", "7", "--method", "cone",
+                 "--theta", "default", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 7
+    capsys.readouterr()
+
+    # No --fuzz, --method, --seed or --out: the defaults, not the values
+    # of the previous call, answer.
+    assert main(["stability", "--point", support]) == 0
+    first = capsys.readouterr().out
+    assert set(json.loads(first)) == {"agreement", "cone", "king"}
+
+    assert main(["stability", "--method", "bogus", "--point", support]) == 3
+    assert main(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert help_text.startswith("usage: qgm")
+
+    assert main(["stability", "--point", support]) == 0
+    assert capsys.readouterr().out == first
+    assert main(["stability", "--fuzz", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "agreementCount": 2, "agreementRate": "2/2", "points": 2, "seed": 42}
+
+    assert main(["lattice", "--quiver", "Q"]) == 0
+    assert "mBasis" not in json.loads(capsys.readouterr().out)
+    assert main(["lattice"]) == 0
+    assert json.loads(capsys.readouterr().out)["quiver"] == "Qtilde"
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == help_text

@@ -1,5 +1,5 @@
-"""Frozen stdout and exit codes of fixed `qgm connectedness` and
-`qgm stability` runs.
+"""Frozen stdout and exit codes of fixed `qgm` runs: connectedness,
+stability, and the picard, lattice, relations, help and argv-error cases.
 
 Each data file holds, per case, the argv, the exit code and the exact
 stdout the command printed when the case was frozen; ideals and points
@@ -25,6 +25,7 @@ def _load(name):
 
 CASES = _load("connectedness_golden.json")
 STABILITY_CASES = _load("stability_golden.json")
+CLI_CASES = _load("cli_golden.json")
 
 
 def _check(case):
@@ -43,4 +44,12 @@ def test_connectedness_stdout_is_frozen(case):
 @pytest.mark.parametrize("case", STABILITY_CASES,
                          ids=[c["name"] for c in STABILITY_CASES])
 def test_stability_stdout_is_frozen(case):
+    _check(case)
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=[c["name"] for c in CLI_CASES])
+def test_cli_stdout_is_frozen(case, monkeypatch):
+    # argparse wraps help text to the terminal width; the cases were
+    # frozen at 80 columns.
+    monkeypatch.setenv("COLUMNS", "80")
     _check(case)

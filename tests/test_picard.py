@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -121,6 +121,16 @@ def test_root_system():
     rec4 = root_system_check(bound=4)
     assert rec4["root_count"] == 72
     assert sorted(rec4["roots"]) == sorted(rec["roots"])
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_root_system_matches_brute_force_over_the_box(bound):
+    box = range(-bound, bound + 1)
+    roots = sorted(r for r in product(box, repeat=7)
+                   if dot(r, DELTA) == 0 and dot(r, r) == -2)
+    rec = root_system_check(bound)
+    assert rec["roots"] == roots
+    assert rec == dict(rec, root_count=len(roots), all_orthogonal=True)
 
 
 def test_root_set_is_stable_under_coordinate_permutations():

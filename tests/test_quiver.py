@@ -238,6 +238,24 @@ def test_rho_weight_matrix_shape_and_rank():
     assert rank(r) == 19
 
 
+def test_arrow_endpoints_must_be_ints():
+    for src, tgt in ((0.7, 1), (0, 1.9), (True, 1), (0, "1")):
+        with pytest.raises(TypeError):
+            QuiverPresentation(["a", "b"], [("x", src, tgt)])
+
+
+def test_json_coefficients_reject_floats():
+    rs_data = quiver.relation_set_to_json(toric_relation_set())
+    rs_data["pairs"][0]["relations"][0][0]["coeff"] = 0.1
+    with pytest.raises(TypeError):
+        quiver.relation_set_from_json(rs_data)
+    phi = potential_from_relations(toric_relation_set(), canonical_back_arrow_pairing())
+    phi_data = quiver.potential_to_json(phi)
+    phi_data["terms"][0]["coeff"] = 0.1
+    with pytest.raises(TypeError):
+        quiver.potential_from_json(phi_data)
+
+
 def test_json_roundtrips():
     q = canonical_quiver()
     assert quiver.quiver_from_json(quiver.quiver_to_json(q)) == q
