@@ -4,7 +4,8 @@ Subcommands: connectedness, relations, lattice, picard, stability.
 All reports are UTF-8 JSON with sorted keys and a trailing newline.
 Exit codes: 0 success/affirmative, 1 verification failure,
 2 precondition violation, 3 I/O or parse error.  Rationals on the
-command line and in JSON are integers or "p/q" strings, never floats.
+command line and in JSON are integers or "p/q" strings, never floats
+or booleans.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import cubicrel, picard, pipeline, quiver, toricgit
+from .exactlin import _rat
 from .monomial import SquarefreeIdeal
 
 EXIT_OK = 0
@@ -32,12 +34,12 @@ class CliError(Exception):
 
 
 def _parse_rational(text) -> Fraction:
-    if isinstance(text, (int, str)):
-        try:
-            return Fraction(str(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"bad rational {text!r}: {exc}", EXIT_PARSE) from exc
-    raise CliError(f"bad rational {text!r}", EXIT_PARSE)
+    try:
+        return _rat(text)
+    except TypeError as exc:
+        raise CliError(f"bad rational {text!r}", EXIT_PARSE) from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"bad rational {text!r}: {exc}", EXIT_PARSE) from exc
 
 
 def _parse_theta(text):
@@ -59,12 +61,12 @@ def _load_json_arg(text):
     if text.lstrip().startswith("{"):
         try:
             return json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an integer over the digit limit
             raise CliError(f"bad inline JSON: {exc}", EXIT_PARSE) from exc
     try:
         with open(text, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read JSON from {text!r}: {exc}", EXIT_PARSE) from exc
 
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from . import quiver as quiver_mod
-from .exactlin import RatMatrix, integer_kernel_basis
+from .exactlin import RatMatrix, _rat, integer_kernel_basis
 from .multipoly import TriPoly, monomials_of_degree
 
 
@@ -34,12 +35,6 @@ class ZeroCoefficient(ValueError):
 
 class IndexOutOfRange(IndexError):
     pass
-
-
-def _rat(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("floating-point parameters are not allowed")
-    return Fraction(x)
 
 
 class PointConfiguration:
@@ -140,12 +135,21 @@ def conic_form(cfg: PointConfiguration, i: int) -> TriPoly:
     return TriPoly([((1, 1, 0), cxy), ((0, 1, 1), cyz), ((1, 0, 1), czx)])
 
 
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
 def _kernel_triple(forms):
     """The one-dimensional left kernel of three equal-degree forms.
 
     Returns (s, t, u), normalized to a primitive integer vector with
     positive leading entry, such that s*F1 + t*F2 + u*F3 = 0; None when
-    the kernel is not one-dimensional.
+    the kernel is not one-dimensional.  With one row per monomial and
+    one column per form, rank two means that some row is independent of
+    the first nonzero one, their cross product then spans the kernel,
+    and every row is orthogonal to it.
     """
     degree = None
     for f in forms:
@@ -154,33 +158,21 @@ def _kernel_triple(forms):
             degree = d if degree is None else max(degree, d)
     if degree is None:
         return None
-    monos = monomials_of_degree(degree)
-    rows = [[f.coefficient(m) for f in forms] for m in monos]
-    from .exactlin import _int_row, _int_row_reduce
-
-    r, piv_rows, piv_cols = _int_row_reduce(
-        [_int_row(row)[1] for row in RatMatrix(rows).entries])
-    if r != 2:
+    rows = []
+    for m in monomials_of_degree(degree):
+        vals = [f.coefficient(m) for f in forms]
+        den = lcm(*(v.denominator for v in vals))  # scaling keeps the kernel
+        rows.append([v.numerator * (den // v.denominator) for v in vals])
+    first = next((row for row in rows if any(row)), None)
+    if first is None:
         return None
-    # back-substitute the 2-pivot system over the 3 unknowns
-    free = next(c for c in range(3) if c not in piv_cols)
-    sol = [Fraction(0)] * 3
-    sol[free] = Fraction(1)
-    for prow, c in reversed(list(zip(piv_rows, piv_cols))):
-        s = sum(Fraction(prow[j]) * sol[j] for j in range(3) if j != c)
-        sol[c] = -s / prow[c]
-    lcm = 1
-    for v in sol:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in sol]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    kernel = next((k for k in (_cross(first, row) for row in rows) if any(k)), None)
+    if kernel is None or any(sum(map(mul, row, kernel)) for row in rows):
+        return None  # rank one, or rank three
+    g = gcd(*kernel)
+    if next(v for v in kernel if v) < 0:
+        g = -g
+    return tuple(Fraction(v // g) for v in kernel)
 
 
 class RelationCoefficients:
@@ -194,7 +186,7 @@ class RelationCoefficients:
     __slots__ = ("vector27", "triples", "transcript")
 
     def __init__(self, vector27, triples, transcript=None):
-        self.vector27 = tuple(Fraction(v) for v in vector27)
+        self.vector27 = tuple(_rat(v) for v in vector27)
         if len(self.vector27) != 27:
             raise ValueError("expected 27 coefficients")
         self.triples = dict(triples)
@@ -297,17 +289,8 @@ def relation_coefficients(cfg: PointConfiguration) -> RelationCoefficients:
 
 
 def _proportional(u, v) -> bool:
-    cross = None
-    for a, b in zip(u, v):
-        if (a == 0) != (b == 0):
-            return False
-        if a != 0:
-            r = Fraction(b) / Fraction(a)
-            if cross is None:
-                cross = r
-            elif r != cross:
-                return False
-    return cross is not None
+    """Two nonzero triples are proportional when their cross product vanishes."""
+    return any(u) and any(v) and not any(_cross(u, v))
 
 
 @lru_cache(maxsize=1)
@@ -344,7 +327,7 @@ def gauge_rescale(rc: RelationCoefficients, alpha) -> RelationCoefficients:
     """Act on the coefficients by arrow rescalings: the coefficient of a
     cycle is multiplied by the product of the alpha values on its three
     arrows."""
-    alpha = [Fraction(v) for v in alpha]
+    alpha = [_rat(v) for v in alpha]
     if len(alpha) != 27:
         raise ValueError("expected one scale per rolled-up arrow")
     if any(v == 0 for v in alpha):

@@ -26,24 +26,28 @@ class ColumnRankDeficient(ValueError):
 
 
 def _rat(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("floating-point entries are not allowed")
+    """The one reader of outside rationals: ints, Fractions and "p/q"
+    strings; floats and bools are refused."""
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"exact rational expected, got {x!r}")
     return Fraction(x)
 
 
 def _check_int(x) -> int:
+    """The one reader of outside integers: never truncates, refuses bools."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"integer entry expected, got {x!r}")
     return x
 
 
-class RatMatrix:
-    """Immutable dense matrix with exact rational entries."""
+class _Matrix:
+    """Immutable dense matrix; a subclass fixes the entry reader."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        data = tuple(tuple(_rat(x) for x in row) for row in entries)
+        read = self._read
+        data = tuple(tuple(read(x) for x in row) for row in entries)
         if data and any(len(r) != len(data[0]) for r in data):
             raise DimensionMismatch("ragged rows")
         self.entries = data
@@ -56,56 +60,34 @@ class RatMatrix:
     def entry(self, i, j):
         return self.entries[i][j]
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(zip(*self.entries)) if self.rows else RatMatrix([])
+    def transpose(self):
+        return type(self)(zip(*self.entries))
 
     def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.entries == other.entries
+        return type(other) is type(self) and self.entries == other.entries
 
     def __hash__(self):
         return hash(self.entries)
 
     def __repr__(self):
-        return f"RatMatrix({self.rows}x{self.cols})"
+        return f"{type(self).__name__}({self.rows}x{self.cols})"
 
 
-class IntMatrix:
+class RatMatrix(_Matrix):
+    """Immutable dense matrix with exact rational entries."""
+
+    __slots__ = ()
+    _read = staticmethod(_rat)
+
+
+class IntMatrix(_Matrix):
     """Immutable dense matrix with arbitrary-precision integer entries."""
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        data = tuple(tuple(_check_int(x) for x in row) for row in entries)
-        if data and any(len(r) != len(data[0]) for r in data):
-            raise DimensionMismatch("ragged rows")
-        self.entries = data
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-
-    def row(self, i):
-        return self.entries[i]
-
-    def entry(self, i, j):
-        return self.entries[i][j]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.entries)) if self.rows else IntMatrix([])
+    __slots__ = ()
+    _read = staticmethod(_check_int)
 
     def to_rational(self) -> RatMatrix:
         return RatMatrix(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"IntMatrix({self.rows}x{self.cols})"
-
-
-def identity_int(n: int) -> IntMatrix:
-    return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

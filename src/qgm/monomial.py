@@ -102,10 +102,6 @@ def _antichain(masks):
     return tuple(sorted(_members(m) for m in keep))
 
 
-def minimalize(num_vars: int, generators) -> SquarefreeIdeal:
-    return SquarefreeIdeal(num_vars, generators)
-
-
 def contains_ideal(p: MonomialPrime, ideal: SquarefreeIdeal) -> bool:
     """True when the prime contains the ideal, i.e. its variable set
     meets every generator support."""

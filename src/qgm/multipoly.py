@@ -9,11 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-
-def _rat(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("floating-point coefficients are not allowed")
-    return Fraction(x)
+from .exactlin import _check_int, _rat
 
 
 class TriPoly:
@@ -25,7 +21,7 @@ class TriPoly:
         data = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         for exps, c in items:
-            ex = tuple(int(e) for e in exps)
+            ex = tuple(_check_int(e) for e in exps)
             if len(ex) != 3 or any(e < 0 for e in ex):
                 raise ValueError(f"bad exponent triple {exps!r}")
             c = _rat(c)

@@ -14,8 +14,9 @@ six contracted lines.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
+
+from .exactlin import _check_int
 
 
 class ChainMismatch(ValueError):
@@ -43,11 +44,11 @@ class KClass:
     __slots__ = ("rank", "c1", "chi")
 
     def __init__(self, rank: int, c1, chi: int):
-        self.rank = int(rank)
-        self.c1 = tuple(int(v) for v in c1)
+        self.rank = _check_int(rank)
+        self.c1 = tuple(_check_int(v) for v in c1)
         if len(self.c1) != RANK:
             raise ValueError("c1 must have rank 7")
-        self.chi = int(chi)
+        self.chi = _check_int(chi)
 
     def key(self):
         return (self.rank, self.c1, self.chi)
@@ -75,11 +76,11 @@ class KClass:
 
 def line_bundle(divisor) -> KClass:
     """Class of O(D): rank one with chi = 1 + D(D + delta)/2."""
-    d = tuple(int(v) for v in divisor)
-    val = Fraction(dot(d, d) + dot(d, DELTA), 2)
-    if val.denominator != 1:
+    d = tuple(_check_int(v) for v in divisor)
+    twice = dot(d, d) + dot(d, DELTA)
+    if twice % 2:
         raise ValueError("divisor has non-integral Euler characteristic")
-    return KClass(1, d, 1 + int(val))
+    return KClass(1, d, 1 + twice // 2)
 
 
 def line_on_surface_class(i: int) -> KClass:
@@ -330,11 +331,6 @@ def mutation_chain_transcript():
                     f"stage {stage}, position {pos}: computed {got}, expected ±{want}")
         stages.append({"stage": stage, "signs": signs})
     return {"stages": stages, "final_matches_collection": True}
-
-
-def verify_mutation_chain() -> bool:
-    mutation_chain_transcript()
-    return True
 
 
 def within_block_permutation_invariance() -> bool:

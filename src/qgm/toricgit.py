@@ -12,7 +12,6 @@ the same verdicts are reproduced module-free from submodule supports
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from . import quiver as quiver_mod
@@ -21,6 +20,7 @@ from .exactlin import (
     IntMatrix,
     _check_int,
     _int_row_reduce,
+    _rat,
     _reduce_against_pivots,
     _strip_content,
     conic_feasible,
@@ -101,17 +101,14 @@ class CoordinatePoint:
     __slots__ = ("dim", "support", "values")
 
     def __init__(self, dim: int, support, values=None):
-        self.dim = dim
+        self.dim = _check_int(dim)
         self.support = frozenset(_check_int(i) for i in support)
         if any(i < 0 or i >= dim for i in self.support):
             raise ValueError("support index out of range")
         if values is not None:
             vals = {}
             for i, v in values.items():
-                i = _check_int(i)
-                if isinstance(v, float):
-                    raise TypeError("floating-point values are not allowed")
-                v = Fraction(v)
+                i, v = _check_int(i), _rat(v)
                 if v == 0 or i not in self.support:
                     raise ValueError("values must be nonzero exactly on the support")
                 vals[i] = v
@@ -123,8 +120,8 @@ class CoordinatePoint:
 
     @classmethod
     def from_values(cls, values) -> "CoordinatePoint":
-        values = list(values)
-        support = [i for i, v in enumerate(values) if Fraction(v) != 0]
+        values = [_rat(v) for v in values]
+        support = [i for i, v in enumerate(values) if v]
         return cls(len(values), support, {i: values[i] for i in support})
 
     def __repr__(self):
@@ -158,34 +155,45 @@ def hm_stable(w: WeightAction, chi, p: CoordinatePoint) -> bool:
 # ---------------------------------------------------------------------------
 # submodule-based tests for quiver points of dimension vector (1,...,1)
 
-def _closed_subset_sums(q: quiver_mod.QuiverPresentation, theta, p: CoordinatePoint):
-    """Yield theta-sums of all vertex subsets closed under the arrows
-    that are nonzero at the point.
+def _closed_subset_sums(q: quiver_mod.QuiverPresentation, theta, support):
+    """Yield (theta-sum, is_full) for the nonempty vertex subsets closed
+    under the arrows in support, in increasing bit-mask order.
 
-    A subset S is closed when every supported arrow with source in S has
-    its target in S; these are exactly the supports of submodules of the
-    associated representation with one-dimensional vertex spaces.
+    A subset S is closed when every arrow of support with source in S
+    has its target in S; for the arrows nonzero at a point these are
+    exactly the supports of submodules of the associated representation
+    with one-dimensional vertex spaces.  With no arrows every subset is
+    closed.
     """
     n = len(q.vertices)
     if n > 20:
         raise ValueError("subset enumeration is limited to small quivers")
     out_mask = [0] * n
-    for idx in p.support:
+    for idx in support:
         _label, s, t = q.arrows[idx]
         out_mask[s] |= 1 << t
+    full = (1 << n) - 1
     reach = [0] * (1 << n)  # union of out-neighborhoods over the subset
     sums = [0] * (1 << n)
-    for s_mask in range(1, 1 << n):
+    for s_mask in range(1, full + 1):
         low = s_mask & -s_mask
         v = low.bit_length() - 1
         rest = s_mask & (s_mask - 1)
         reach[s_mask] = reach[rest] | out_mask[v]
         sums[s_mask] = sums[rest] + theta[v]
-    full = (1 << n) - 1
-    for s_mask in range(1, 1 << n):
-        if reach[s_mask] & ~s_mask & full:
-            continue  # not closed
-        yield s_mask, sums[s_mask], s_mask == full
+        if not reach[s_mask] & ~s_mask:
+            yield sums[s_mask], s_mask == full
+
+
+def _submodule_sums(q: quiver_mod.QuiverPresentation, chi, p: CoordinatePoint):
+    """The closed-subset sums of the point, after checking the shapes
+    and that the character sums to zero over the vertices."""
+    theta = _theta_of(chi)
+    if len(theta) != len(q.vertices) or p.dim != len(q.arrows):
+        raise DimensionMismatch("quiver, character, and point disagree")
+    if sum(theta) != 0:
+        raise ValueError("the character must sum to zero over the vertices")
+    return _closed_subset_sums(q, theta, p.support)
 
 
 def king_stable(q: quiver_mod.QuiverPresentation, chi, p: CoordinatePoint) -> bool:
@@ -194,31 +202,17 @@ def king_stable(q: quiver_mod.QuiverPresentation, chi, p: CoordinatePoint) -> bo
     The full representation is excluded since the character sums to
     zero on it.
     """
-    theta = _theta_of(chi)
-    if len(theta) != len(q.vertices) or p.dim != len(q.arrows):
-        raise DimensionMismatch("quiver, character, and point disagree")
-    if sum(theta) != 0:
-        raise ValueError("the character must sum to zero over the vertices")
-    for _mask, s, is_full in _closed_subset_sums(q, theta, p):
-        if not is_full and s <= 0:
-            return False
-    return True
+    return all(s > 0 or is_full for s, is_full in _submodule_sums(q, chi, p))
 
 
 def king_semistable(q: quiver_mod.QuiverPresentation, chi, p: CoordinatePoint) -> bool:
-    theta = _theta_of(chi)
-    if len(theta) != len(q.vertices) or p.dim != len(q.arrows):
-        raise DimensionMismatch("quiver, character, and point disagree")
-    if sum(theta) != 0:
-        raise ValueError("the character must sum to zero over the vertices")
-    for _mask, s, _is_full in _closed_subset_sums(q, theta, p):
-        if s < 0:
-            return False
-    return True
+    return all(s >= 0 for s, _is_full in _submodule_sums(q, chi, p))
 
 
 def theta_generic_quiver(q: quiver_mod.QuiverPresentation, chi) -> bool:
     """True when every nonempty proper vertex subset has nonzero sum.
+    The subsets are those closed under no arrows, so like the King tests
+    this is limited to quivers of at most 20 vertices.
 
     On the signed-incidence action of the quiver this implies
     caratheodory_genericity, so callers that check it need not run that
@@ -238,14 +232,7 @@ def theta_generic_quiver(q: quiver_mod.QuiverPresentation, chi) -> bool:
         raise DimensionMismatch("character has wrong length")
     if sum(theta) != 0:
         return False
-    n = len(theta)
-    sums = [0] * (1 << n)
-    for s_mask in range(1, (1 << n) - 1):
-        low = s_mask & -s_mask
-        sums[s_mask] = sums[s_mask & (s_mask - 1)] + theta[low.bit_length() - 1]
-        if sums[s_mask] == 0:
-            return False
-    return True
+    return all(s or is_full for s, is_full in _closed_subset_sums(q, theta, ()))
 
 
 # ---------------------------------------------------------------------------

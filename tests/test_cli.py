@@ -163,6 +163,21 @@ def test_stability_malformed_point(tmp_path):
     assert code == 3
 
 
+def test_json_integer_over_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError (not JSONDecodeError) for an
+    # integer literal beyond Python's int/str digit limit
+    huge = "9" * 5000
+    out = str(tmp_path / "x.json")
+    point = "{\"values\": [" + huge + "]}"
+    assert main(["stability", "--point", point, "--out", out]) == 3
+    ideal = "{\"numVars\": 18, \"generators\": [[" + huge + "]]}"
+    assert main(["connectedness", "--ideal", ideal, "--out", out]) == 3
+    path = tmp_path / "point.json"
+    path.write_text(point)
+    assert main(["stability", "--point", str(path), "--out", out]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_unknown_flag_rejected(tmp_path):
     assert main(["lattice", "--nonsense"]) == 3
     assert main(["nonsense-command"]) == 3

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -18,7 +19,8 @@ from qgm.cubicrel import (
     relation_set_from_coefficients,
     to_moduli_point,
 )
-from qgm.multipoly import TriPoly
+from qgm.exactlin import IntMatrix, integer_kernel_basis
+from qgm.multipoly import TriPoly, monomials_of_degree
 
 from helpers import general_position_params, nonzero_rational
 
@@ -142,6 +144,36 @@ def test_middle_vertex_placement_matches_the_identity_forms():
                     form = line_form(CFG, mm, jp) * second
                 total = total + form.scale(coeff)
             assert total.is_zero()
+
+
+def _kernel_by_smith(forms):
+    """The integer kernel of the monomial-by-form coefficient matrix, its
+    rows scaled to integers, as a generic oracle for _kernel_triple."""
+    rows = []
+    for m in monomials_of_degree(3):
+        vals = [f.coefficient(m) for f in forms]
+        den = lcm(*(v.denominator for v in vals))
+        rows.append([v.numerator * (den // v.denominator) for v in vals])
+    return integer_kernel_basis(IntMatrix(rows))
+
+
+def test_kernel_triple_matches_the_integer_kernel_basis():
+    rng = random.Random(23)
+    for _ in range(15):
+        cfg = general_position_params(rng)
+        for j in range(3):
+            jp = j + 4
+            cubics = tuple(line_form(cfg, m, jp) * conic_form(cfg, m) for m in (1, 2, 3))
+            (expected,) = _kernel_by_smith(cubics)
+            assert cubicrel._kernel_triple(cubics) == tuple(Fraction(v) for v in expected)
+
+
+def test_kernel_triple_is_none_unless_the_kernel_is_a_line():
+    x, y, z = (TriPoly.variable(v) for v in "xyz")
+    assert cubicrel._kernel_triple((TriPoly.zero(),) * 3) is None
+    assert cubicrel._kernel_triple((x, x, x)) is None  # rank one
+    assert cubicrel._kernel_triple((x, y, z)) is None  # rank three
+    assert cubicrel._kernel_triple((x, y, x - y)) == (1, -1, -1)
 
 
 def test_degenerate_configuration_raises():

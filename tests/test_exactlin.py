@@ -15,7 +15,8 @@ from qgm.exactlin import (
     solve_unique,
     strictly_conic_feasible,
 )
-from qgm import quiver
+from qgm import cubicrel, picard, quiver, toricgit
+from qgm.multipoly import TriPoly
 
 from helpers import CANONICAL_WEIGHT_ROWS, det_fraction, rational
 
@@ -27,6 +28,45 @@ def test_matrices_reject_floats_and_ragged_rows():
         IntMatrix([[Fraction(1, 2)]])
     with pytest.raises(DimensionMismatch):
         IntMatrix([[1, 2], [3]])
+
+
+def test_matrix_types_share_a_body_but_not_equality():
+    ints, rats = IntMatrix([[1, 2]]), RatMatrix([[1, 2]])
+    assert ints.entries == rats.entries and ints != rats and rats == ints.to_rational()
+    assert isinstance(ints.transpose(), IntMatrix) and ints.transpose().rows == 2
+    assert isinstance(rats.transpose(), RatMatrix)
+    assert repr(ints.transpose()) == "IntMatrix(2x1)"
+
+
+def _relation_json_with_bool_coeff():
+    data = quiver.relation_set_to_json(quiver.toric_relation_set())
+    data["pairs"][0]["relations"][0][0]["coeff"] = True
+    return data
+
+
+# Every reader of outside numbers goes through exactlin._rat or
+# exactlin._check_int: no float is taken and no bool is read as 0 or 1.
+INEXACT_INPUTS = {
+    "point-configuration-bool": lambda: cubicrel.PointConfiguration(True, 3, 5, 7),
+    "relation-json-bool-coeff": lambda: quiver.relation_set_from_json(
+        _relation_json_with_bool_coeff()),
+    "tripoly-float-exponent": lambda: TriPoly([((1.5, 0, 0), 1)]),
+    "tripoly-bool-coeff": lambda: TriPoly([((1, 0, 0), True)]),
+    "kclass-float-rank": lambda: picard.KClass(1.9, (0,) * 7, 0),
+    "line-bundle-float": lambda: picard.line_bundle((1.7, 0, 0, 0, 0, 0, 0)),
+    "gauge-float-alpha": lambda: cubicrel.gauge_rescale(
+        cubicrel.RelationCoefficients(range(1, 28), {}), [0.5] * 27),
+    "relation-coefficients-float": lambda: cubicrel.RelationCoefficients(
+        [1] * 26 + [0.5], {}),
+    "coordinate-point-bool-value": lambda: toricgit.CoordinatePoint(18, [1], {1: True}),
+    "rat-matrix-bool": lambda: RatMatrix([[True]]),
+}
+
+
+@pytest.mark.parametrize("build", INEXACT_INPUTS.values(), ids=INEXACT_INPUTS)
+def test_validators_refuse_floats_and_bools(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_rank_identity_and_zero():

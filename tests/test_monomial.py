@@ -9,7 +9,6 @@ from qgm.monomial import (
     SquarefreeIdeal,
     contains_ideal,
     minimal_primes,
-    minimalize,
     sum_prime,
 )
 
@@ -17,10 +16,10 @@ from helpers import TORIC_PAIRS
 
 
 def test_minimalize():
-    ideal = minimalize(3, [{0}, {0, 1}])
+    ideal = SquarefreeIdeal(3, [{0}, {0, 1}])
     assert ideal.generators == ((0,),)
-    assert minimalize(3, []).is_zero()
-    same_size = minimalize(6, [{0, 1, 2}, {3, 4, 5}, {0, 1, 2}])
+    assert SquarefreeIdeal(3, []).is_zero()
+    same_size = SquarefreeIdeal(6, [{0, 1, 2}, {3, 4, 5}, {0, 1, 2}])
     assert same_size.generators == ((0, 1, 2), (3, 4, 5))
 
 
