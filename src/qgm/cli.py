@@ -4,8 +4,10 @@ Subcommands: connectedness, relations, lattice, picard, stability.
 All reports are UTF-8 JSON with sorted keys and a trailing newline.
 Exit codes: 0 success/affirmative, 1 verification failure,
 2 precondition violation, 3 I/O or parse error.  Rationals on the
-command line and in JSON are integers or "p/q" strings, never floats
-or booleans.
+command line and in JSON are integers or "p/q" strings with at most
+MAX_DIGITS (800) digits in each numerator and denominator, never floats,
+decimals, exponents or booleans; anything else, and JSON nested too
+deeply to parse, is a parse error.
 """
 
 from __future__ import annotations
@@ -13,18 +15,21 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
 
 from . import cubicrel, picard, pipeline, quiver, toricgit
-from .exactlin import _rat
 from .monomial import SquarefreeIdeal
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_PRECONDITION = 2
 EXIT_PARSE = 3
+
+MAX_DIGITS = 800
+_RATIONAL = re.compile(r"[-+]?([0-9]+)(?:/([0-9]+))?")
 
 
 class CliError(Exception):
@@ -33,13 +38,21 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_rational(text) -> Fraction:
+def _parse_rational(value) -> Fraction:
+    """An int, or a string "n" or "p/q" of ASCII digits with an optional
+    sign; numerators and denominators have at most MAX_DIGITS digits."""
+    if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
+        too_long = max(len(part) for part in match.groups("")) > MAX_DIGITS
+    elif type(value) is int:  # not a bool
+        too_long = abs(value) >= 10 ** MAX_DIGITS
+    else:
+        raise CliError(f"bad rational {value!r}: not an integer or p/q", EXIT_PARSE)
+    if too_long:
+        raise CliError(f"bad rational: more than {MAX_DIGITS} digits", EXIT_PARSE)
     try:
-        return _rat(text)
-    except TypeError as exc:
-        raise CliError(f"bad rational {text!r}", EXIT_PARSE) from exc
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad rational {text!r}: {exc}", EXIT_PARSE) from exc
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise CliError(f"bad rational {value!r}: {exc}", EXIT_PARSE) from exc
 
 
 def _parse_theta(text):
@@ -61,12 +74,12 @@ def _load_json_arg(text):
     if text.lstrip().startswith("{"):
         try:
             return json.loads(text)
-        except ValueError as exc:  # malformed, or an integer over the digit limit
+        except (ValueError, RecursionError) as exc:  # malformed, too long or too deep
             raise CliError(f"bad inline JSON: {exc}", EXIT_PARSE) from exc
     try:
         with open(text, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read JSON from {text!r}: {exc}", EXIT_PARSE) from exc
 
 
@@ -136,24 +149,8 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    if args.quiver == "Q":
-        q = quiver.canonical_quiver()
-    else:
-        q = quiver.rolled_up_quiver()
-    rep = toricgit.lattice_report(q)
-    out = {
-        "quiver": rep["quiver"],
-        "rankK": rep["rank_K"],
-        "rankT": rep["rank_T"],
-        "rankL": rep["rank_L"],
-        "rankN": rep["rank_N"],
-        "rankM": rep["rank_M"],
-        "canonicalTriviality": toricgit.canonical_triviality_check(quiver.canonical_quiver()),
-    }
-    if args.quiver == "Qtilde":
-        out["strongConvexity"] = toricgit.strong_convexity_check()
-        out["mBasis"] = rep["m_basis"]
-    _emit(out, args.out)
+    q = quiver.canonical_quiver() if args.quiver == "Q" else quiver.rolled_up_quiver()
+    _emit(toricgit.lattice_report(q), args.out)
     return EXIT_OK
 
 

@@ -3,12 +3,14 @@
 Everything in this module is exact: entries are Python ints or
 ``fractions.Fraction`` and no floating point is used anywhere.  It
 provides the primitives the rest of the package is built on: rank,
-unique solving, integer kernel lattices, Smith normal form, and
-nonnegative-combination (conic) feasibility.  Rank and conic
-feasibility run fraction-free on integer rows: conic feasibility is a
-two-phase simplex with Bland's anti-cycling rule whose tableau rows are
-positive integer multiples of the rational rows, so it takes the
-pivots of the rational simplex and returns the same certificates.
+unique solving, integer kernel lattices, and nonnegative-combination
+(conic) feasibility.  Rank and unique solving reduce integer-scaled
+rows fraction-free (``_int_row_reduce``); integer kernels are read off
+the Hermite form (``_hermite_rows``); Smith normal form is only the
+tests' reference route.  Conic feasibility is a two-phase simplex with
+Bland's anti-cycling rule whose tableau rows are positive integer
+multiples of the rational rows, so it takes the pivots of the rational
+simplex and returns the same certificates.
 """
 
 from __future__ import annotations
@@ -85,9 +87,6 @@ class IntMatrix(_Matrix):
 
     __slots__ = ()
     _read = staticmethod(_check_int)
-
-    def to_rational(self) -> RatMatrix:
-        return RatMatrix(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -171,37 +170,24 @@ def solve_unique(m, b):
 
     Returns the unique solution as a list of Fractions, or None when the
     system is inconsistent.  Raises ColumnRankDeficient when the columns
-    are dependent (detected before consistency is decided).
+    are dependent (detected before consistency is decided).  The
+    integer-scaled rows of [m | b] are reduced fraction-free; only the
+    back-substitution divides.
     """
-    if isinstance(m, IntMatrix):
-        m = m.to_rational()
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side has wrong length")
-    aug = [list(m.row(i)) + [_rat(b[i])] for i in range(m.rows)]
     n = m.cols
-    piv_of_col = {}
-    r = 0
+    _r, piv_rows, piv_cols = _int_row_reduce(
+        [_int_row(_exact_row(row + (v,)))[1] for row, v in zip(m.entries, b)])
     for c in range(n):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if piv is None:
+        if c not in piv_cols:
             raise ColumnRankDeficient(f"column {c} is dependent on earlier columns")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        p = aug[r][c]
-        for i in range(r + 1, len(aug)):
-            f = aug[i][c]
-            if f:
-                fac = f / p
-                aug[i] = [a - fac * bb for a, bb in zip(aug[i], aug[r])]
-        piv_of_col[c] = r
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][n] != 0:
-            return None
+    if len(piv_cols) > n:  # a pivot in the right-hand side column
+        return None
     x = [Fraction(0)] * n
-    for c in range(n - 1, -1, -1):
-        i = piv_of_col[c]
-        s = aug[i][n] - sum(aug[i][j] * x[j] for j in range(c + 1, n))
-        x[c] = s / aug[i][c]
+    for c in reversed(range(n)):
+        row = piv_rows[c]
+        x[c] = (row[n] - sum(row[j] * x[j] for j in range(c + 1, n))) / Fraction(row[c])
     return x
 
 
@@ -252,7 +238,7 @@ def smith_normal_form(m: IntMatrix):
     (row, column) index.
     """
     if not isinstance(m, IntMatrix):
-        raise TypeError("smith_normal_form expects IntMatrix")
+        raise TypeError("Smith normal form expects IntMatrix")
     nr, nc = m.rows, m.cols
     A = [list(row) for row in m.entries]
     U = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
@@ -373,18 +359,17 @@ def smith_normal_form(m: IntMatrix):
 def integer_kernel_basis(m: IntMatrix):
     """Basis of the integer kernel lattice { v : m*v = 0 }.
 
-    The returned basis is the canonical Hermite basis of the kernel,
-    which is saturated (the quotient of Z^cols by it is torsion-free)
-    and has primitive rows; the output is deterministic.
+    The rows (0 | v) of the Hermite form of [m^T | I] are the canonical
+    Hermite basis of the kernel (Cohen, GTM 138, section 2.4), which is
+    saturated (the quotient of Z^cols by it is torsion-free) and has
+    primitive rows; the output is deterministic.
     """
     if not isinstance(m, IntMatrix):
         raise TypeError("integer_kernel_basis expects IntMatrix")
-    _u, d, v = smith_normal_form(m)
-    r = sum(1 for i in range(min(d.rows, d.cols)) if d.entry(i, i))
-    if r == m.cols:
-        return []
-    cols = [[v.entry(i, j) for i in range(m.cols)] for j in range(r, m.cols)]
-    return [tuple(row) for row in _hermite_rows(cols)]
+    n, r = m.cols, m.rows
+    aug = [list(col) + [int(i == j) for j in range(n)]
+           for i, col in enumerate(zip(*m.entries))]
+    return [tuple(row[r:]) for row in _hermite_rows(aug) if not any(row[:r])]
 
 
 # ---------------------------------------------------------------------------

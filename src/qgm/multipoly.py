@@ -34,10 +34,6 @@ class TriPoly:
         return cls()
 
     @classmethod
-    def constant(cls, c) -> "TriPoly":
-        return cls([((0, 0, 0), c)])
-
-    @classmethod
     def monomial(cls, exps, c=1) -> "TriPoly":
         return cls([(exps, c)])
 

@@ -57,7 +57,7 @@ class QuiverPresentation:
 
     def vertex_index(self, v) -> int:
         if isinstance(v, int):
-            if 0 <= v < len(self.vertices):
+            if 0 <= _check_int(v) < len(self.vertices):  # refuses bools
                 return v
             raise UnknownVertex(f"vertex index {v} out of range")
         try:
@@ -67,7 +67,7 @@ class QuiverPresentation:
 
     def arrow_index(self, label) -> int:
         if isinstance(label, int):
-            if 0 <= label < len(self.arrows):
+            if 0 <= _check_int(label) < len(self.arrows):  # refuses bools
                 return label
             raise UnknownArrow(f"arrow index {label} out of range")
         try:

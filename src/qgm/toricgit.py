@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from . import cubicrel
 from . import quiver as quiver_mod
 from .exactlin import (
     DimensionMismatch,
@@ -24,9 +25,7 @@ from .exactlin import (
     _reduce_against_pivots,
     _strip_content,
     conic_feasible,
-    integer_kernel_basis,
     rank,
-    smith_normal_form,
     solve_unique,
     strictly_conic_feasible,
 )
@@ -429,7 +428,7 @@ def scan_full_rank_subsets(w: WeightAction, chi):
             continue
         full_rank += 1
         cols = [[sub[j][i] for j in range(r)] for i in range(len(theta))]
-        x = solve_unique(IntMatrix(cols).to_rational(), theta)
+        x = solve_unique(IntMatrix(cols), theta)
         if x is not None and all(v >= 0 for v in x):
             relevant.append(subset)
     return full_rank, relevant
@@ -469,55 +468,34 @@ def irrelevant_ideal_generators(w: WeightAction, chi, exhaustive=False) -> Squar
 # lattice bookkeeping
 
 def lattice_report(q: quiver_mod.QuiverPresentation) -> dict:
-    """Ranks of the group and character lattices attached to a canonical
-    quiver, plus (for the rolled-up quiver) a basis of the invariant
-    characters.
+    """The `qgm lattice` report of one of the two canonical quivers.
 
-    For either quiver the rescaling torus acts through the signed
-    incidence matrix, giving rank_K = vertices - 1 and
-    rank_T = arrows - vertices + 1.  The rolled-up quiver additionally
-    acts on the 27 cycle coordinates; there rank_K is the rank of the
-    cycle/arrow membership matrix and rank_M = rank_N = 27 - rank_K.
+    The rescaling torus acts through the signed incidence matrix, so on Q
+    rankK = vertices - 1 and rankT = arrows - vertices + 1.  On the
+    rolled-up quiver it acts on the 27 cycle coordinates: rankK is the
+    rank of the cycle/arrow membership matrix, and rankM = 27 - rankK is
+    counted on the invariant characters mBasis, an independent route.
     """
     if q == quiver_mod.rolled_up_quiver():
-        kind = "Qtilde"
+        kind, k = "Qtilde", rank(quiver_mod.rho_weight_matrix())
     elif q == quiver_mod.canonical_quiver():
-        kind = "Q"
+        kind, k = "Q", rank(quiver_mod.incidence_weight_rows(q))
     else:
         raise ValueError("lattice_report expects one of the two canonical quivers")
     n_arrows = len(q.arrows)
-    inc = quiver_mod.incidence_weight_rows(q)
-    inc_rank = rank(inc)
     report = {
         "quiver": kind,
-        "arrows": n_arrows,
-        "vertices": len(q.vertices),
+        "rankK": k,
+        "rankT": n_arrows - k,
+        "rankL": k,
+        "rankN": n_arrows - k,
+        "rankM": n_arrows - k,
+        "canonicalTriviality": canonical_triviality_check(quiver_mod.canonical_quiver()),
     }
     if kind == "Qtilde":
-        rho = quiver_mod.rho_weight_matrix()
-        k = rank(rho)
-        m_basis = integer_kernel_basis(rho.transpose())
-        _u, d, _v = smith_normal_form(inc)  # vertex cocharacters into arrow cocharacters
-        divisors = [d.entry(i, i) for i in range(min(d.rows, d.cols)) if d.entry(i, i)]
-        report.update({
-            "rank_K": k,
-            "rank_T": n_arrows - k,
-            "rank_L": k,
-            "rank_N": n_arrows - k,
-            "rank_M": len(m_basis),
-            "m_basis": [list(v) for v in m_basis],
-            "incidence_rank": inc_rank,
-            "incidence_cokernel_free": all(x == 1 for x in divisors),
-        })
-    else:
-        report.update({
-            "rank_K": inc_rank,
-            "rank_T": n_arrows - inc_rank,
-            "rank_L": inc_rank,
-            "rank_N": n_arrows - inc_rank,
-            "rank_M": n_arrows - inc_rank,
-            "incidence_rank": inc_rank,
-        })
+        m_basis = cubicrel.moduli_torus_basis()
+        report.update(rankM=len(m_basis), strongConvexity=strong_convexity_check(),
+                      mBasis=[list(v) for v in m_basis])
     return report
 
 

@@ -73,3 +73,36 @@ def general_position_params(rng: random.Random):
         cfg = cubicrel.PointConfiguration(*params)
         if cubicrel.general_position_check(cfg):
             return cfg
+
+
+def fraction_solve_unique(rows, b):
+    """Unique solution of rows * x = b by plain Fraction elimination, or
+    None when inconsistent (test-local oracle for exactlin.solve_unique).
+    Raises exactlin's errors with its messages, in its order."""
+    from qgm.exactlin import ColumnRankDeficient, DimensionMismatch
+
+    if len(b) != len(rows):
+        raise DimensionMismatch("right-hand side has wrong length")
+    aug = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(rows, b)]
+    n = len(rows[0]) if rows else 0
+    piv_of_col = {}
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if piv is None:
+            raise ColumnRankDeficient(f"column {c} is dependent on earlier columns")
+        aug[r], aug[piv] = aug[piv], aug[r]
+        for i in range(r + 1, len(aug)):
+            f = aug[i][c] / aug[r][c]
+            if f:
+                aug[i] = [a - f * bb for a, bb in zip(aug[i], aug[r])]
+        piv_of_col[c] = r
+        r += 1
+    if any(aug[i][n] != 0 for i in range(r, len(aug))):
+        return None
+    x = [Fraction(0)] * n
+    for c in range(n - 1, -1, -1):
+        i = piv_of_col[c]
+        s = aug[i][n] - sum(aug[i][j] * x[j] for j in range(c + 1, n))
+        x[c] = s / aug[i][c]
+    return x

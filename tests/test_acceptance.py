@@ -43,13 +43,13 @@ def test_acceptance_02_strong_convexity():
 def test_acceptance_03_lattice_ranks():
     rep_t = toricgit.lattice_report(QT)
     rep_q = toricgit.lattice_report(Q)
-    ok = (rep_t["rank_K"] == 19 and rep_t["rank_M"] == 8 and rep_t["rank_N"] == 8
-          and rep_q["rank_T"] == 10
-          and 27 == rep_t["rank_K"] + rep_t["rank_M"])
+    ok = (rep_t["rankK"] == 19 and rep_t["rankM"] == 8 and rep_t["rankN"] == 8
+          and rep_q["rankT"] == 10
+          and 27 == rep_t["rankK"] + rep_t["rankM"])
     _report(3, ok,
-            f"rank K={rep_t['rank_K']}, rank M={rep_t['rank_M']}, "
-            f"rank N={rep_t['rank_N']}, rank T(base)={rep_q['rank_T']}, "
-            f"27=19+8={27 == rep_t['rank_K'] + rep_t['rank_M']}")
+            f"rank K={rep_t['rankK']}, rank M={rep_t['rankM']}, "
+            f"rank N={rep_t['rankN']}, rank T(base)={rep_q['rankT']}, "
+            f"27=19+8={27 == rep_t['rankK'] + rep_t['rankM']}")
 
 
 def test_acceptance_04_genericity():

@@ -338,3 +338,34 @@ def test_parser_is_reused_without_carrying_values(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["quiver"] == "Qtilde"
     assert main(["--help"]) == 0
     assert capsys.readouterr().out == help_text
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    point = "{\"values\": " + "[" * 20000 + "]" * 20000 + "}"
+    out = str(tmp_path / "x.json")
+    assert main(["stability", "--point", point, "--out", out]) == 3
+    path = tmp_path / "deep.json"
+    path.write_text(point)
+    assert main(["stability", "--point", str(path), "--out", out]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _digits(n, lead):
+    return lead + "7" * (n - 2) + "1"
+
+
+def test_rationals_are_integers_or_p_over_q_of_at_most_800_digits(tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    params = [f"{_digits(800, lead)}/{_digits(800, str(int(lead) + 1))}"
+              for lead in "1234"]
+    params[3] = "-" + params[3]
+    argv = ["relations"] + [f"--{k}={v}" for k, v in zip("abcd", params)] + ["--out", out]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "x.json").read_text())["identitiesVerified"] is True
+    for bad in (_digits(801, "3"), f"2/{_digits(801, '3')}", f"-{_digits(801, '3')}/5",
+                "1.5", "1e3", "1e1000000000", " 2", "1_0", "٣"):
+        assert main(["relations", f"--a={bad}", "--b=3", "--c=5", "--d=7",
+                     "--out", out]) == 3, bad
+    big = "{\"values\": [" + "9" * 801 + "]}"
+    assert main(["stability", "--point", big, "--out", out]) == 3
+    assert "Traceback" not in capsys.readouterr().err

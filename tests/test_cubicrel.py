@@ -146,7 +146,7 @@ def test_middle_vertex_placement_matches_the_identity_forms():
             assert total.is_zero()
 
 
-def _kernel_by_smith(forms):
+def _kernel_by_integer_basis(forms):
     """The integer kernel of the monomial-by-form coefficient matrix, its
     rows scaled to integers, as a generic oracle for _kernel_triple."""
     rows = []
@@ -164,7 +164,7 @@ def test_kernel_triple_matches_the_integer_kernel_basis():
         for j in range(3):
             jp = j + 4
             cubics = tuple(line_form(cfg, m, jp) * conic_form(cfg, m) for m in (1, 2, 3))
-            (expected,) = _kernel_by_smith(cubics)
+            (expected,) = _kernel_by_integer_basis(cubics)
             assert cubicrel._kernel_triple(cubics) == tuple(Fraction(v) for v in expected)
 
 
@@ -188,7 +188,7 @@ def test_moduli_point_basics():
     from qgm import toricgit
 
     rep = toricgit.lattice_report(quiver.rolled_up_quiver())
-    assert tuple(tuple(v) for v in rep["m_basis"]) == basis
+    assert tuple(tuple(v) for v in rep["mBasis"]) == basis
     ones = cubicrel.RelationCoefficients([1] * 27, {})
     assert to_moduli_point(ones, basis) == (Fraction(1),) * 8
     rc = relation_coefficients(CFG)

@@ -32,15 +32,18 @@ def test_matrices_reject_floats_and_ragged_rows():
 
 def test_matrix_types_share_a_body_but_not_equality():
     ints, rats = IntMatrix([[1, 2]]), RatMatrix([[1, 2]])
-    assert ints.entries == rats.entries and ints != rats and rats == ints.to_rational()
+    assert ints.entries == rats.entries and ints != rats and rats == RatMatrix(ints.entries)
     assert isinstance(ints.transpose(), IntMatrix) and ints.transpose().rows == 2
     assert isinstance(rats.transpose(), RatMatrix)
     assert repr(ints.transpose()) == "IntMatrix(2x1)"
 
 
-def _relation_json_with_bool_coeff():
+def _relation_json_with_bool(field):
     data = quiver.relation_set_to_json(quiver.toric_relation_set())
-    data["pairs"][0]["relations"][0][0]["coeff"] = True
+    if field == "coeff":
+        data["pairs"][0]["relations"][0][0]["coeff"] = True
+    else:
+        data["pairs"][0][field] = True
     return data
 
 
@@ -49,7 +52,12 @@ def _relation_json_with_bool_coeff():
 INEXACT_INPUTS = {
     "point-configuration-bool": lambda: cubicrel.PointConfiguration(True, 3, 5, 7),
     "relation-json-bool-coeff": lambda: quiver.relation_set_from_json(
-        _relation_json_with_bool_coeff()),
+        _relation_json_with_bool("coeff")),
+    "relation-json-bool-source": lambda: quiver.relation_set_from_json(
+        _relation_json_with_bool("source")),
+    "vertex-index-bool": lambda: quiver.canonical_quiver().vertex_index(True),
+    "arrow-index-bool": lambda: quiver.canonical_quiver().arrow_index(False),
+    "path-bool-arrow": lambda: quiver.Path(quiver.canonical_quiver(), [True]),
     "tripoly-float-exponent": lambda: TriPoly([((1.5, 0, 0), 1)]),
     "tripoly-bool-coeff": lambda: TriPoly([((1, 0, 0), True)]),
     "kclass-float-rank": lambda: picard.KClass(1.9, (0,) * 7, 0),

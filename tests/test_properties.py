@@ -2,7 +2,11 @@
 connectedness pipeline: the spanning-forest scan against the elimination
 scan, the redundancy of Carathéodory genericity, bit-set minimal primes
 against brute force, and the pipeline's bit-set containment tests
-against the monomial module."""
+against the monomial module.  Also the two elimination routes of
+exactlin: the Hermite kernel basis against the Smith-form route, and
+the fraction-free unique solve against plain Fraction elimination."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +16,15 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qgm import quiver  # noqa: E402
-from qgm.exactlin import IntMatrix  # noqa: E402
+from qgm.exactlin import (  # noqa: E402
+    IntMatrix,
+    RatMatrix,
+    _hermite_rows,
+    integer_kernel_basis,
+    rank,
+    smith_normal_form,
+    solve_unique,
+)
 from qgm.monomial import (  # noqa: E402
     SquarefreeIdeal,
     contains_ideal,
@@ -28,6 +40,8 @@ from qgm.toricgit import (  # noqa: E402
     scan_full_rank_subsets,
     theta_generic_quiver,
 )
+
+from helpers import fraction_solve_unique  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -150,3 +164,78 @@ def test_pipeline_containment_matches_the_monomial_module(gens):
     assert all(contains_ideal(sum_prime(components[i], components[j]), irrelevant)
                == ((i, j) not in report.edges)
                for i in range(len(components)) for j in range(i + 1, len(components)))
+
+
+def _kernel_by_smith(m):
+    """The Smith-form route to the kernel basis: the last columns of V in
+    U*m*V = D span the kernel, and their Hermite form is canonical."""
+    _u, d, v = smith_normal_form(m)
+    r = sum(1 for i in range(min(d.rows, d.cols)) if d.entry(i, i))
+    cols = [[v.entry(i, j) for i in range(m.cols)] for j in range(r, m.cols)]
+    return [tuple(row) for row in _hermite_rows(cols)]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Random small matrices, plus the edge shapes: zero matrices,
+    matrices with no columns, and full-column-rank triangular ones."""
+    kind = draw(st.sampled_from(("random", "zero", "no-columns", "full-rank")))
+    nr = draw(st.integers(0 if kind == "random" else 1, 5))
+    if kind == "no-columns":
+        return IntMatrix([[] for _ in range(nr)])
+    nc = draw(st.integers(1, 6)) if kind != "full-rank" else nr
+    entries = st.integers(0, 0) if kind == "zero" else st.integers(-7, 7)
+    rows = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    if kind == "full-rank":
+        for i in range(nr):
+            rows[i][:i] = [0] * i
+            rows[i][i] = draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1)))
+    return IntMatrix(rows)
+
+
+@PROPERTY
+@given(integer_matrices())
+def test_hermite_kernel_basis_matches_the_smith_route(m):
+    basis = integer_kernel_basis(m)
+    assert basis == _kernel_by_smith(m)
+    assert len(basis) == m.cols - rank(m)
+    assert all(not any(sum(a * b for a, b in zip(row, v)) for row in m.entries)
+               for v in basis)
+
+
+@st.composite
+def linear_systems(draw):
+    """A small rational system; half the time b = m * x is consistent."""
+    nr, nc = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-4, 4),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    if nc and draw(st.booleans()):
+        x = draw(st.lists(st.integers(-3, 3), min_size=nc, max_size=nc))
+        b = [sum(v * xi for v, xi in zip(row, x)) for row in rows]
+    else:
+        b = draw(st.lists(st.integers(-5, 5), min_size=nr, max_size=nr))
+    if draw(st.integers(0, 9)) == 0:
+        b = b + [1]  # wrong length
+    return rows, b
+
+
+def _outcome(solve, *args):
+    try:
+        return "ok", solve(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(linear_systems())
+def test_fraction_free_solve_matches_fraction_elimination(case):
+    rows, b = case
+    ints = all(type(v) is int for row in rows for v in row)
+    got = _outcome(solve_unique, (IntMatrix if ints else RatMatrix)(rows), b)
+    assert got == _outcome(fraction_solve_unique, rows, b)
+    if got[0] == "ok" and got[1] is not None:
+        assert all(type(v) is Fraction for v in got[1])
+        assert [sum(a * x for a, x in zip(row, got[1])) for row in rows] == b
