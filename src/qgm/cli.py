@@ -29,7 +29,8 @@ EXIT_PRECONDITION = 2
 EXIT_PARSE = 3
 
 MAX_DIGITS = 800
-_RATIONAL = re.compile(r"[-+]?([0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"[-+]?([0-9]+)")
+_RATIONAL = re.compile(_INTEGER.pattern + r"(?:/([0-9]+))?")
 
 
 class CliError(Exception):
@@ -56,13 +57,16 @@ def _parse_rational(value) -> Fraction:
 
 
 def _parse_theta(text):
-    """A character of the canonical quiver: 'default' or one int per vertex."""
+    """A character of the canonical quiver: 'default' or one integer per
+    vertex, each read by the integer rule of _parse_rational."""
     if text == "default":
         return toricgit.SPECIAL_THETA
-    try:
-        theta = toricgit.StabilityCharacter([int(v) for v in text.split(",")])
-    except ValueError as exc:
-        raise CliError(f"bad theta {text!r}: {exc}", EXIT_PARSE) from exc
+    entries = text.split(",")
+    for v in entries:
+        if not (match := _INTEGER.fullmatch(v)) or len(match[1]) > MAX_DIGITS:
+            raise CliError(f"bad theta {text!r}: {v!r} is not an integer of at most "
+                           f"{MAX_DIGITS} ASCII digits", EXIT_PARSE)
+    theta = toricgit.StabilityCharacter([int(v) for v in entries])
     vertices = len(toricgit.SPECIAL_THETA.theta)
     if len(theta.theta) != vertices:
         raise CliError(f"bad theta {text!r}: needs {vertices} entries", EXIT_PARSE)
@@ -100,25 +104,25 @@ def _emit(report: dict, out_path):
 
 def _cmd_connectedness(args) -> int:
     theta = _parse_theta(args.theta)
+    q = quiver.canonical_quiver()
     if args.ideal == "builtin-I0":
         ideal = pipeline.builtin_toric_ideal()
     elif args.ideal == "empty":
-        ideal = SquarefreeIdeal(18, [])
+        ideal = SquarefreeIdeal(len(q.arrows), [])
     else:
         data = _load_json_arg(args.ideal)
         try:
+            # checked before the ideal allocates per-variable state
+            if data["numVars"] != len(q.arrows):
+                raise CliError("ideal must live on the arrow coordinates", EXIT_PARSE)
             ideal = SquarefreeIdeal.from_json(data)
         except (KeyError, ValueError, TypeError) as exc:
             raise CliError(f"bad ideal: {exc}", EXIT_PARSE) from exc
-    q = quiver.canonical_quiver()
     try:
         report = pipeline.run_connectedness(q, theta, ideal)
     except pipeline.NonGenericTheta as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ValueError as exc:  # ideal shape mismatch
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.connected else EXIT_VERIFY_FAIL
 

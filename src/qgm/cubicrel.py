@@ -296,23 +296,22 @@ def _proportional(u, v) -> bool:
 @lru_cache(maxsize=1)
 def moduli_torus_basis():
     """Basis of the invariant characters of the cycle-coordinate action:
-    the integer kernel of the transposed cycle/arrow membership matrix."""
+    the integer kernel of the transposed cycle/arrow matrix."""
     return tuple(integer_kernel_basis(quiver_mod.rho_weight_matrix().transpose()))
 
 
-def to_moduli_point(rc: RelationCoefficients, m_basis=None):
-    """Evaluate the invariant characters on the 27 coefficients.
+def to_moduli_point(rc: RelationCoefficients):
+    """Evaluate the invariant characters of moduli_torus_basis on the 27
+    coefficients.
 
     Each basis character m gives the product of coeff_c ** m_c; the
     result is an eight-tuple of nonzero rationals, unchanged under
     arrow rescaling.
     """
-    if m_basis is None:
-        m_basis = moduli_torus_basis()
     if any(v == 0 for v in rc.vector27):
         raise ZeroCoefficient("moduli point needs all 27 coefficients nonzero")
     point = []
-    for m in m_basis:
+    for m in moduli_torus_basis():
         val = Fraction(1)
         for c, e in zip(rc.vector27, m):
             if e > 0:

@@ -90,7 +90,7 @@ class IntMatrix(_Matrix):
 
 
 # ---------------------------------------------------------------------------
-# rank and span membership (fraction-free integer elimination)
+# rank and span tests (fraction-free integer elimination)
 
 def _strip_content(row):
     g = gcd(*row)
@@ -142,7 +142,7 @@ def _reduce_against_pivots(vec, piv_rows, piv_cols):
 
     The result is zero exactly when the vector lies in the rational row
     span of the pivots (each step rescales by the nonzero pivot, which
-    preserves membership).
+    preserves that property).
     """
     v = list(vec)
     for prow, c in zip(piv_rows, piv_cols):
@@ -530,7 +530,7 @@ def conic_feasible(generators, target):
 
 
 def strictly_conic_feasible(generators, target, ambient_rank=None):
-    """Interior membership test for the cone of the generators.
+    """Interior test for the cone of the generators.
 
     True exactly when target admits a representation with all
     coefficients strictly positive and the generators span the ambient

@@ -49,10 +49,6 @@ class SquarefreeIdeal:
     def __repr__(self):
         return f"SquarefreeIdeal({self.num_vars} vars, {len(self.generators)} generators)"
 
-    def to_json(self) -> dict:
-        return {"numVars": self.num_vars,
-                "generators": [list(g) for g in self.generators]}
-
     @classmethod
     def from_json(cls, data) -> "SquarefreeIdeal":
         return cls(data["numVars"], data["generators"])

@@ -3,13 +3,14 @@ representations cut out by a squarefree monomial relation ideal.
 
 The run checks that the character is generic (on the incidence action
 this settles Carathéodory genericity too, see theta_generic_quiver),
-lists the irrelevant ideal as the maximal spanning forests of the arrows
-with nonnegative cut values, takes the minimal primes of the relation
-ideal, keeps the components (primes not containing the irrelevant ideal,
-tested with its per-variable generator bit sets) and joins two when the
-prime generated by both supports does not contain it either.  A
-connected graph certifies that the cut-out moduli space carries only
-constant global functions.
+lists the irrelevant ideal as the maximal spanning forests of the
+quiver's arrows with nonnegative cut values, takes the minimal primes of
+the relation ideal, keeps the components (primes not containing the
+irrelevant ideal, tested with its per-variable generator bit sets) and
+joins two when the prime generated by both supports does not contain it
+either.  A connected graph certifies that the cut-out moduli space
+carries only constant global functions; the verdict h0 = One is given
+for the distinguished relation ideal, whose reducedness is known.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .monomial import SquarefreeIdeal, minimal_primes
 from .toricgit import (
     StabilityCharacter,
     UnionFind,
-    WeightAction,
     scan_full_rank_subsets,
     theta_generic_quiver,
 )
@@ -59,7 +59,7 @@ def builtin_toric_ideal() -> SquarefreeIdeal:
     return SquarefreeIdeal(18, [list(p) for p in quiver_mod.toric_relation_arrow_pairs()])
 
 
-def connectedness_details(q, theta, ideal: SquarefreeIdeal, assert_reduced=False):
+def connectedness_details(q, theta, ideal: SquarefreeIdeal):
     """Full pipeline; returns (report, components, irrelevant_ideal)."""
     if not isinstance(theta, StabilityCharacter):
         theta = StabilityCharacter(theta)
@@ -67,8 +67,7 @@ def connectedness_details(q, theta, ideal: SquarefreeIdeal, assert_reduced=False
         raise NonGenericTheta("some proper vertex subset has zero character sum")
     if ideal.num_vars != len(q.arrows):
         raise ValueError("ideal must live on the arrow coordinates")
-    action = WeightAction.from_quiver(q)
-    full_rank_count, relevant = scan_full_rank_subsets(action, theta)
+    full_rank_count, relevant = scan_full_rank_subsets(q, theta)
     irrelevant = SquarefreeIdeal(ideal.num_vars, relevant)
     primes = minimal_primes(ideal)
     # a prime contains the irrelevant ideal iff its variables hit every generator
@@ -84,8 +83,7 @@ def connectedness_details(q, theta, ideal: SquarefreeIdeal, assert_reduced=False
     for i, j in edges:
         uf.union(i, j)
     connected = n - len(uf.merges) <= 1
-    is_canonical = (ideal == builtin_toric_ideal())
-    h0 = "One" if connected and (is_canonical or assert_reduced) else "Unknown"
+    h0 = "One" if connected and ideal == builtin_toric_ideal() else "Unknown"
     report = ConnectednessReport(
         octuple_count=full_rank_count,
         relevant_octuple_count=len(irrelevant.generators),
@@ -98,42 +96,5 @@ def connectedness_details(q, theta, ideal: SquarefreeIdeal, assert_reduced=False
     return report, components, irrelevant
 
 
-def run_connectedness(q, theta, ideal: SquarefreeIdeal,
-                      assert_reduced=False) -> ConnectednessReport:
-    report, _components, _irrelevant = connectedness_details(
-        q, theta, ideal, assert_reduced=assert_reduced)
-    return report
-
-
-def component_summaries(report: ConnectednessReport, components):
-    """Per component: the prime support, the complementary free
-    coordinates, and the degree in the incidence graph."""
-    degrees = [0] * report.component_count
-    for i, j in report.edges:
-        degrees[i] += 1
-        degrees[j] += 1
-    out = []
-    for idx, prime in enumerate(components):
-        support = list(prime.variables)
-        free = [v for v in range(prime.num_vars) if v not in prime.variables]
-        out.append({
-            "component": idx,
-            "support": support,
-            "free": free,
-            "degree": degrees[idx],
-        })
-    return out
-
-
-def truncated_subgraph_edges(report: ConnectednessReport):
-    """The first-two-neighbors subgraph of the incidence graph (if it is
-    connected, the full graph certainly is)."""
-    adj = [[] for _ in range(report.component_count)]
-    for i, j in report.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    sub = set()
-    for i in range(report.component_count):
-        for j in sorted(adj[i])[:2]:
-            sub.add((min(i, j), max(i, j)))
-    return sorted(sub)
+def run_connectedness(q, theta, ideal: SquarefreeIdeal) -> ConnectednessReport:
+    return connectedness_details(q, theta, ideal)[0]

@@ -282,9 +282,6 @@ class RelationSet:
                 clean.append(tuple(terms))
             self.relations[(src, tgt)] = tuple(clean)
 
-    def pairs(self):
-        return sorted(self.relations)
-
     def __eq__(self, other):
         return (isinstance(other, RelationSet)
                 and self.quiver == other.quiver and self.relations == other.relations)
@@ -500,60 +497,3 @@ def rho_weight_matrix() -> IntMatrix:
             row[a] += 1
         rows.append(row)
     return IntMatrix(rows)
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-def quiver_to_json(q: QuiverPresentation) -> dict:
-    return {
-        "vertices": list(q.vertices),
-        "arrows": [{"label": label, "src": s, "tgt": t} for label, s, t in q.arrows],
-    }
-
-
-def quiver_from_json(data) -> QuiverPresentation:
-    return QuiverPresentation(
-        data["vertices"],
-        [(a["label"], a["src"], a["tgt"]) for a in data["arrows"]],
-    )
-
-
-def relation_set_to_json(r: RelationSet) -> dict:
-    out = []
-    for (src, tgt) in r.pairs():
-        combos = []
-        for combo in r.relations[(src, tgt)]:
-            combos.append([
-                {"path": [r.quiver.arrows[a][0] for a in path.arrows], "coeff": str(coeff)}
-                for coeff, path in combo
-            ])
-        out.append({"source": r.quiver.vertices[src],
-                    "target": r.quiver.vertices[tgt],
-                    "relations": combos})
-    return {"quiver": quiver_to_json(r.quiver), "pairs": out}
-
-
-def relation_set_from_json(data) -> RelationSet:
-    q = quiver_from_json(data["quiver"])
-    rels = {}
-    for block in data["pairs"]:
-        key = (q.vertex_index(block["source"]), q.vertex_index(block["target"]))
-        combos = []
-        for combo in block["relations"]:
-            combos.append([(_rat(t["coeff"]), Path(q, t["path"])) for t in combo])
-        rels[key] = combos
-    return RelationSet(q, rels)
-
-
-def potential_to_json(phi: Potential) -> dict:
-    return {
-        "quiver": quiver_to_json(phi.quiver),
-        "terms": [{"cycle": [phi.quiver.arrows[a][0] for a in word], "coeff": str(coeff)}
-                  for word, coeff in sorted(phi.terms.items())],
-    }
-
-
-def potential_from_json(data) -> Potential:
-    q = quiver_from_json(data["quiver"])
-    return Potential(q, [(_rat(t["coeff"]), t["cycle"]) for t in data["terms"]])

@@ -7,12 +7,12 @@ cone spanned by the weights of its nonzero coordinates, and stable when
 it lies in the interior of that cone taken inside the span of the full
 weight matrix.  For the signed-incidence action coming from a quiver,
 the same verdicts are reproduced module-free from submodule supports
-(king_stable / king_semistable below).
+(king_stable / king_semistable below), and the irrelevant ideal is read
+off the quiver's own arrows: its generators are the maximal spanning
+forests whose cut values are nonnegative (scan_full_rank_subsets).
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from . import cubicrel
 from . import quiver as quiver_mod
@@ -20,20 +20,13 @@ from .exactlin import (
     DimensionMismatch,
     IntMatrix,
     _check_int,
-    _int_row_reduce,
     _rat,
     _reduce_against_pivots,
     _strip_content,
     conic_feasible,
     rank,
-    solve_unique,
     strictly_conic_feasible,
 )
-from .monomial import SquarefreeIdeal
-
-
-class NonGenericCharacter(ValueError):
-    """The character fails the genericity needed by the requested routine."""
 
 
 class WeightAction:
@@ -62,13 +55,6 @@ class WeightAction:
     def from_quiver(cls, q: quiver_mod.QuiverPresentation) -> "WeightAction":
         return cls(quiver_mod.incidence_weight_rows(q))
 
-    @classmethod
-    def from_json(cls, data) -> "WeightAction":
-        return cls(IntMatrix(data["weights"]))
-
-    def to_json(self) -> dict:
-        return {"weights": [list(r) for r in self.weights.entries]}
-
 
 class StabilityCharacter:
     """An integer character of the acting torus."""
@@ -88,40 +74,24 @@ class StabilityCharacter:
 SPECIAL_THETA = StabilityCharacter((-11, -11, -11, 3, 3, 6, 7, 7, 7))
 
 
-def character_from_json(data) -> StabilityCharacter:
-    """Reads the "theta" field of a {"weights": ..., "theta": ...} record."""
-    return StabilityCharacter(data["theta"])
-
-
 class CoordinatePoint:
-    """A point of the coordinate space, known by its support and
-    optionally by exact nonzero values on that support."""
+    """A point of the coordinate space, known by its support: every
+    verdict depends on which coordinates are nonzero, not on their
+    values."""
 
-    __slots__ = ("dim", "support", "values")
+    __slots__ = ("dim", "support")
 
-    def __init__(self, dim: int, support, values=None):
+    def __init__(self, dim: int, support):
         self.dim = _check_int(dim)
         self.support = frozenset(_check_int(i) for i in support)
         if any(i < 0 or i >= dim for i in self.support):
             raise ValueError("support index out of range")
-        if values is not None:
-            vals = {}
-            for i, v in values.items():
-                i, v = _check_int(i), _rat(v)
-                if v == 0 or i not in self.support:
-                    raise ValueError("values must be nonzero exactly on the support")
-                vals[i] = v
-            if set(vals) != self.support:
-                raise ValueError("values must cover the support")
-            self.values = vals
-        else:
-            self.values = None
 
     @classmethod
     def from_values(cls, values) -> "CoordinatePoint":
+        """The support of exact values, each read through _rat."""
         values = [_rat(v) for v in values]
-        support = [i for i, v in enumerate(values) if v]
-        return cls(len(values), support, {i: values[i] for i in support})
+        return cls(len(values), [i for i, v in enumerate(values) if v])
 
     def __repr__(self):
         return f"CoordinatePoint(dim={self.dim}, support={sorted(self.support)})"
@@ -134,7 +104,7 @@ def _theta_of(chi):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert-Mumford style tests (cone membership on the supported weights)
+# Hilbert-Mumford style tests (the cone of the supported weights)
 
 def hm_semistable(w: WeightAction, chi, p: CoordinatePoint) -> bool:
     theta = _theta_of(chi)
@@ -287,18 +257,6 @@ def caratheodory_genericity(w: WeightAction, chi) -> bool:
 # ---------------------------------------------------------------------------
 # irrelevant ideal
 
-def _incidence_edges(weights: IntMatrix):
-    """Interpret the rows as signed incidence vectors (one -1, one +1);
-    returns the (source, target) list or None when the shape differs."""
-    edges = []
-    for row in weights.entries:
-        support = [j for j, v in enumerate(row) if v]
-        if sorted(row[j] for j in support) != [-1, 1]:
-            return None
-        edges.append(tuple(support) if row[support[0]] == -1 else tuple(support[::-1]))
-    return edges
-
-
 class UnionFind:
     """Disjoint sets of 0..n-1, joined by size and never path-compressed,
     so that unions (merges: the absorbed roots) can be undone in reverse
@@ -333,7 +291,7 @@ class UnionFind:
 
 
 def _cut_values_nonnegative(adj, theta) -> bool:
-    """Cone membership on a maximal spanning forest, adj[v] listing (w, +1)
+    """Cone containment on a maximal spanning forest, adj[v] listing (w, +1)
     per edge v -> w and (w, -1) per w -> v.  An edge's coefficient is its
     cut value, the theta-sum of the subtree on its head side; these must
     be nonnegative, and theta must sum to zero on every component."""
@@ -359,12 +317,27 @@ def _cut_values_nonnegative(adj, theta) -> bool:
     return True
 
 
-def _spanning_forest_scan(edges, nverts, size, theta):
-    """(count, relevant) over the maximal spanning forests, in lexicographic
-    order, by include/exclude recursion over the edges with an undoable
-    union-find (Read and Tarjan, Networks 5, 1975).  An edge joining two
-    sets is left out only while both touch a later edge: else one could
-    never grow."""
+def scan_full_rank_subsets(q: quiver_mod.QuiverPresentation, chi):
+    """One pass over the arrow subsets whose incidence rows have full
+    ambient rank: the maximal spanning forests of the quiver.
+
+    Returns (full_rank_count, relevant), where relevant lists the forests
+    whose cone contains the character, in lexicographic order: the
+    generators of the irrelevant ideal when the character is generic.
+    The ambient rank is the number of unions that join two sets in one
+    union-find pass over the arrows.  The forests are enumerated by
+    include/exclude recursion over the arrows with an undoable union-find
+    (Read and Tarjan, Networks 5, 1975); an arrow joining two sets is left
+    out only while both touch a later arrow, else one could never grow.
+    Cone containment is read off the cut values.
+    """
+    theta = _theta_of(chi)
+    nverts = len(q.vertices)
+    if len(theta) != nverts:
+        raise DimensionMismatch("character has wrong length")
+    edges = [(s, t) for _label, s, t in q.arrows]
+    rank_uf = UnionFind(nverts)
+    size = sum(rank_uf.union(s, t) is not None for s, t in edges)
     m, uf, adj = len(edges), UnionFind(nverts), [[] for _ in range(nverts)]
     reach = [-1] * nverts  # per root: the last edge index touching its set
     for i, (s, t) in enumerate(edges):
@@ -402,68 +375,6 @@ def _spanning_forest_scan(edges, nverts, size, theta):
     return trees, relevant
 
 
-def scan_full_rank_subsets(w: WeightAction, chi):
-    """One pass over the size-ambient_rank coordinate subsets.
-
-    Returns (full_rank_count, relevant) where relevant lists the subsets
-    whose weight rows both have full ambient rank and span a cone
-    containing the character, in lexicographic order.  For
-    signed-incidence weights the full-rank subsets are the maximal
-    spanning forests of the arrows, enumerated directly, and membership
-    is read off their cut values; otherwise every subset gets exact
-    elimination and a unique solve.
-    """
-    theta = _theta_of(chi)
-    if len(theta) != w.weights.cols:
-        raise DimensionMismatch("character has wrong length")
-    r = w.ambient_rank
-    edges = _incidence_edges(w.weights)
-    if edges is not None:
-        return _spanning_forest_scan(edges, w.weights.cols, r, theta)
-    full_rank, relevant = 0, []
-    rows = [list(row) for row in w.weights.entries]
-    for subset in combinations(range(w.coordinates), r):
-        sub = [rows[i] for i in subset]
-        if _int_row_reduce(sub)[0] != r:
-            continue
-        full_rank += 1
-        cols = [[sub[j][i] for j in range(r)] for i in range(len(theta))]
-        x = solve_unique(IntMatrix(cols), theta)
-        if x is not None and all(v >= 0 for v in x):
-            relevant.append(subset)
-    return full_rank, relevant
-
-
-def irrelevant_ideal_generators(w: WeightAction, chi, exhaustive=False) -> SquarefreeIdeal:
-    """Generators of the ideal cutting out the unstable locus.
-
-    Default mode: the coordinate subsets of size ambient_rank whose
-    weight rows have full ambient rank and whose cone contains the
-    character, valid whenever caratheodory_genericity holds (checked,
-    NonGenericCharacter otherwise).  Exhaustive mode drops the
-    genericity assumption and minimalizes cone membership over all
-    supports (exponential; intended for small actions).
-    """
-    theta = _theta_of(chi)
-    if len(theta) != w.weights.cols:
-        raise DimensionMismatch("character has wrong length")
-    n = w.coordinates
-    if exhaustive:
-        hits = []
-        for size in range(n + 1):
-            for subset in combinations(range(n), size):
-                if any(set(h) <= set(subset) for h in hits):
-                    continue
-                if conic_feasible(w.rows_for(subset), theta) is not None:
-                    hits.append(subset)
-        return SquarefreeIdeal(n, hits)
-    if not caratheodory_genericity(w, chi):
-        raise NonGenericCharacter(
-            "character lies in the span of fewer than ambient_rank weights")
-    _count, relevant = scan_full_rank_subsets(w, chi)
-    return SquarefreeIdeal(n, relevant)
-
-
 # ---------------------------------------------------------------------------
 # lattice bookkeeping
 
@@ -473,7 +384,7 @@ def lattice_report(q: quiver_mod.QuiverPresentation) -> dict:
     The rescaling torus acts through the signed incidence matrix, so on Q
     rankK = vertices - 1 and rankT = arrows - vertices + 1.  On the
     rolled-up quiver it acts on the 27 cycle coordinates: rankK is the
-    rank of the cycle/arrow membership matrix, and rankM = 27 - rankK is
+    rank of the cycle/arrow matrix, and rankM = 27 - rankK is
     counted on the invariant characters mBasis, an independent route.
     """
     if q == quiver_mod.rolled_up_quiver():
@@ -493,34 +404,22 @@ def lattice_report(q: quiver_mod.QuiverPresentation) -> dict:
         "canonicalTriviality": canonical_triviality_check(quiver_mod.canonical_quiver()),
     }
     if kind == "Qtilde":
-        m_basis = cubicrel.moduli_torus_basis()
-        report.update(rankM=len(m_basis), strongConvexity=strong_convexity_check(),
-                      mBasis=[list(v) for v in m_basis])
+        basis = cubicrel.moduli_torus_basis()
+        report.update(rankM=len(basis), strongConvexity=strong_convexity_check(),
+                      mBasis=[list(v) for v in basis])
     return report
 
 
-def strong_convexity_pairings(membership: IntMatrix | None = None):
+def strong_convexity_pairings():
     """Pairing of the pushed-forward all-ones cocharacter with each cycle
-    coordinate class: the row sums of the cycle/arrow membership matrix."""
-    if membership is None:
-        membership = quiver_mod.rho_weight_matrix()
-    return [sum(row) for row in membership.entries]
+    coordinate class: the row sums of the cycle/arrow matrix."""
+    return [sum(row) for row in quiver_mod.rho_weight_matrix().entries]
 
 
 def strong_convexity_check() -> bool:
     """All 27 pairings equal 3, so the effective cone is strongly convex
     and the quotients it produces are projective."""
     return all(v == 3 for v in strong_convexity_pairings())
-
-
-def effective_cone_interior_test(w: WeightAction, chi) -> bool:
-    """Nonempty stable locus: the character lies in the interior of the
-    cone spanned by all weight rows."""
-    theta = _theta_of(chi)
-    if len(theta) != w.weights.cols:
-        raise DimensionMismatch("character has wrong length")
-    return strictly_conic_feasible(list(w.weights.entries), theta,
-                                   ambient_rank=w.ambient_rank)
 
 
 def canonical_triviality_check(q: quiver_mod.QuiverPresentation) -> bool:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 # The canonical 18x9 weight matrix of the arrow-rescaling action, one
 # row per arrow (-1 at the source vertex, +1 at the target vertex),
@@ -106,3 +107,40 @@ def fraction_solve_unique(rows, b):
         s = aug[i][n] - sum(aug[i][j] * x[j] for j in range(c + 1, n))
         x[c] = s / aug[i][c]
     return x
+
+
+def elimination_scan(action, theta):
+    """(full_rank_count, relevant) of toricgit.scan_full_rank_subsets by
+    the general route, on any weight action: every size-ambient_rank
+    subset of the rows gets exact elimination and, at full rank, a
+    unique solve for its cone coefficients (test-local oracle)."""
+    from qgm.exactlin import IntMatrix, _int_row_reduce, solve_unique
+
+    r, rows = action.ambient_rank, [list(row) for row in action.weights.entries]
+    full_rank, relevant = 0, []
+    for subset in combinations(range(len(rows)), r):
+        sub = [rows[i] for i in subset]
+        if _int_row_reduce(sub)[0] != r:
+            continue
+        full_rank += 1
+        x = solve_unique(IntMatrix([[row[j] for row in sub] for j in range(len(theta))]),
+                         theta)
+        if x is not None and all(v >= 0 for v in x):
+            relevant.append(subset)
+    return full_rank, relevant
+
+
+def exhaustive_irrelevant_supports(action, theta):
+    """The inclusion-minimal coordinate subsets whose weight cone holds
+    theta, found over all subsets with no genericity assumption
+    (test-local oracle; exponential, for small actions)."""
+    from qgm.exactlin import conic_feasible
+
+    hits = []
+    for size in range(action.coordinates + 1):
+        for subset in combinations(range(action.coordinates), size):
+            if any(set(h) <= set(subset) for h in hits):
+                continue
+            if conic_feasible(action.rows_for(subset), theta) is not None:
+                hits.append(subset)
+    return hits

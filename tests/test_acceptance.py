@@ -101,14 +101,13 @@ def test_acceptance_06_relation_identities():
 
 def test_acceptance_07_gauge_invariance_and_injectivity():
     rng = random.Random(707)
-    basis = cubicrel.moduli_torus_basis()
     cfg = general_position_params(rng)
     rc = cubicrel.relation_coefficients(cfg)
-    point = cubicrel.to_moduli_point(rc, basis)
+    point = cubicrel.to_moduli_point(rc)
     invariant = all(
         cubicrel.to_moduli_point(
-            cubicrel.gauge_rescale(rc, [nonzero_rational(rng) for _ in range(27)]),
-            basis) == point
+            cubicrel.gauge_rescale(rc, [nonzero_rational(rng) for _ in range(27)]))
+        == point
         for _ in range(100))
     pairs_ok = True
     seen = set()
@@ -119,8 +118,7 @@ def test_acceptance_07_gauge_invariance_and_injectivity():
         if key in seen:
             continue
         seen.add(key)
-        points[key] = cubicrel.to_moduli_point(
-            cubicrel.relation_coefficients(c), basis)
+        points[key] = cubicrel.to_moduli_point(cubicrel.relation_coefficients(c))
     keys = list(points)
     count = 0
     for i in range(len(keys)):

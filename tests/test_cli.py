@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 from qgm.cli import main
 
@@ -295,6 +296,42 @@ def test_theta_of_wrong_length_is_a_parse_error(capsys):
             assert code == 3
             assert captured.out == ""
             assert "needs 9 entries" in captured.err
+
+
+def test_theta_entries_are_ascii_integers(capsys):
+    # the integer rule of rationals: an optional sign and ASCII digits,
+    # no underscores, padding or other digit scripts
+    for theta in ("-1_1,-11,-11,3,3,6,7,7,7", " -11,-11,-11,3,3,6,7,7,7 ",
+                  "-11,-11,-11,3,3,6,7,7,\u0663", "-11,-11,-11,3,3,6,7,7," + "7" * 801):
+        for argv in (["connectedness"], ["stability", "--fuzz", "1"]):
+            code = main(argv + ["--theta=" + theta])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert "bad theta" in captured.err
+
+
+def test_ideal_shape_is_checked_before_the_ideal_is_built(tmp_path, capsys):
+    # numVars is compared with the 18 arrow coordinates before the ideal
+    # allocates its per-variable bit sets
+    ideal = '{"numVars": 1000000, "generators": []}'
+    assert main(["connectedness", "--ideal", ideal]) == 3  # warms the parser
+    tracemalloc.start()
+    try:
+        code = main(["connectedness", "--ideal", ideal])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 2 ** 20
+    assert "ideal must live on the arrow coordinates" in capsys.readouterr().err
+    path = tmp_path / "ideal.json"
+    for data in ("[18]", '"numVars"', "18", "null"):
+        path.write_text(data)
+        assert main(["connectedness", "--ideal", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad ideal" in captured.err
 
 
 def test_stability_fuzz_non_summing_theta_is_a_precondition_failure(capsys):

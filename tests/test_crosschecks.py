@@ -23,11 +23,11 @@ from qgm.toricgit import (
     hm_stable,
     king_semistable,
     king_stable,
-    irrelevant_ideal_generators,
     caratheodory_genericity,
+    scan_full_rank_subsets,
 )
 
-from helpers import det_fraction, random_point_values
+from helpers import det_fraction, elimination_scan, random_point_values
 
 
 def test_smith_normal_form_stress():
@@ -141,9 +141,9 @@ def test_stability_equivalence_for_other_characters():
 
 
 def test_forest_flow_on_a_smaller_quiver():
-    # a four-vertex quiver whose ambient rank is 3: the scan peels
-    # forests that need not span, and must agree with the exhaustive
-    # feasibility route on every minimal support
+    # a four-vertex quiver whose ambient rank is 3: the forest scan must
+    # agree with the elimination oracle and with the feasibility solver
+    # on every triple
     arrows = [("a", 0, 1), ("b", 1, 2), ("c", 2, 3), ("d", 0, 2), ("e", 1, 3)]
     q = QuiverPresentation(["0", "1", "2", "3"], arrows)
     action = WeightAction.from_quiver(q)
@@ -156,7 +156,8 @@ def test_forest_flow_on_a_smaller_quiver():
         if not caratheodory_genericity(action, theta):
             continue
         tested += 1
-        ideal = irrelevant_ideal_generators(action, theta)
+        count, relevant = scan_full_rank_subsets(q, theta)
+        assert (count, relevant) == elimination_scan(action, theta)
         # reference: triple-subset membership by the feasibility solver
         expected = []
         for subset in combinations(range(5), 3):
@@ -165,7 +166,7 @@ def test_forest_flow_on_a_smaller_quiver():
                 continue
             if conic_feasible(rows, theta) is not None:
                 expected.append(subset)
-        assert set(ideal.generators) == set(map(tuple, expected))
+        assert relevant == expected
 
 
 def test_cyclic_derivative_with_repeated_arrows():

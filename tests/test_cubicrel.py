@@ -190,25 +190,24 @@ def test_moduli_point_basics():
     rep = toricgit.lattice_report(quiver.rolled_up_quiver())
     assert tuple(tuple(v) for v in rep["mBasis"]) == basis
     ones = cubicrel.RelationCoefficients([1] * 27, {})
-    assert to_moduli_point(ones, basis) == (Fraction(1),) * 8
+    assert to_moduli_point(ones) == (Fraction(1),) * 8
     rc = relation_coefficients(CFG)
-    point = to_moduli_point(rc, basis)
+    point = to_moduli_point(rc)
     assert len(point) == 8
     assert all(v != 0 for v in point)
     broken = cubicrel.RelationCoefficients([1] * 26 + [0], {})
     with pytest.raises(ZeroCoefficient):
-        to_moduli_point(broken, basis)
+        to_moduli_point(broken)
 
 
 def test_gauge_invariance_and_composition():
     rng = random.Random(20)
     rc = relation_coefficients(CFG)
-    basis = moduli_torus_basis()
-    point = to_moduli_point(rc, basis)
+    point = to_moduli_point(rc)
     for _ in range(30):
         alpha = [nonzero_rational(rng) for _ in range(27)]
         beta = [nonzero_rational(rng) for _ in range(27)]
-        assert to_moduli_point(gauge_rescale(rc, alpha), basis) == point
+        assert to_moduli_point(gauge_rescale(rc, alpha)) == point
         ab = [x * y for x, y in zip(alpha, beta)]
         assert gauge_rescale(gauge_rescale(rc, alpha), beta).vector27 == \
             gauge_rescale(rc, ab).vector27
@@ -220,27 +219,25 @@ def test_per_relation_rescaling_is_a_gauge_transformation():
     # scaling one back arrow scales exactly the three coefficients of
     # the relation it reverses, leaving the torus point unchanged
     rc = relation_coefficients(CFG)
-    basis = moduli_torus_basis()
-    point = to_moduli_point(rc, basis)
+    point = to_moduli_point(rc)
     qt = quiver.rolled_up_quiver()
     alpha = [Fraction(1)] * 27
     alpha[qt.arrow_index("x_0_2_1")] = Fraction(5)
     scaled = gauge_rescale(rc, alpha)
     changed = [i for i in range(27) if scaled.vector27[i] != rc.vector27[i]]
     assert len(changed) == 3
-    assert to_moduli_point(scaled, basis) == point
+    assert to_moduli_point(scaled) == point
 
 
 def test_distinct_configurations_give_distinct_points():
     rng = random.Random(21)
-    basis = moduli_torus_basis()
     seen = {}
     for _ in range(25):
         cfg = general_position_params(rng)
         key = (cfg.a, cfg.b, cfg.c, cfg.d)
         if key in seen:
             continue
-        point = to_moduli_point(relation_coefficients(cfg), basis)
+        point = to_moduli_point(relation_coefficients(cfg))
         assert point not in seen.values(), f"collision for {key}"
         seen[key] = point
 

@@ -38,23 +38,22 @@ def test_matrix_types_share_a_body_but_not_equality():
     assert repr(ints.transpose()) == "IntMatrix(2x1)"
 
 
-def _relation_json_with_bool(field):
-    data = quiver.relation_set_to_json(quiver.toric_relation_set())
+def _relation_set_with_bool(field):
+    q = quiver.canonical_quiver()
+    path = quiver.Path(q, quiver.toric_relation_arrow_pairs()[0][::-1])
     if field == "coeff":
-        data["pairs"][0]["relations"][0][0]["coeff"] = True
-    else:
-        data["pairs"][0][field] = True
-    return data
+        return quiver.RelationSet(q, {(path.source, path.target): [[(True, path)]]})
+    return quiver.RelationSet(q, {(True, path.target): [[(1, path)]]})
 
 
 # Every reader of outside numbers goes through exactlin._rat or
 # exactlin._check_int: no float is taken and no bool is read as 0 or 1.
 INEXACT_INPUTS = {
     "point-configuration-bool": lambda: cubicrel.PointConfiguration(True, 3, 5, 7),
-    "relation-json-bool-coeff": lambda: quiver.relation_set_from_json(
-        _relation_json_with_bool("coeff")),
-    "relation-json-bool-source": lambda: quiver.relation_set_from_json(
-        _relation_json_with_bool("source")),
+    "relation-json-bool-coeff": lambda: _relation_set_with_bool("coeff"),
+    "relation-json-bool-source": lambda: _relation_set_with_bool("source"),
+    "potential-bool-coeff": lambda: quiver.Potential(
+        quiver.rolled_up_quiver(), [(True, quiver.canonical_cycles()[0])]),
     "vertex-index-bool": lambda: quiver.canonical_quiver().vertex_index(True),
     "arrow-index-bool": lambda: quiver.canonical_quiver().arrow_index(False),
     "path-bool-arrow": lambda: quiver.Path(quiver.canonical_quiver(), [True]),
@@ -66,7 +65,7 @@ INEXACT_INPUTS = {
         cubicrel.RelationCoefficients(range(1, 28), {}), [0.5] * 27),
     "relation-coefficients-float": lambda: cubicrel.RelationCoefficients(
         [1] * 26 + [0.5], {}),
-    "coordinate-point-bool-value": lambda: toricgit.CoordinatePoint(18, [1], {1: True}),
+    "coordinate-point-bool-value": lambda: toricgit.CoordinatePoint.from_values([True]),
     "rat-matrix-bool": lambda: RatMatrix([[True]]),
 }
 

@@ -1,11 +1,15 @@
 """Property tests (hypothesis) for the incidence route of the
 connectedness pipeline: the spanning-forest scan against the elimination
-scan, the redundancy of Carathéodory genericity, bit-set minimal primes
+oracle in tests/helpers.py, the redundancy of Carathéodory genericity, bit-set minimal primes
 against brute force, and the pipeline's bit-set containment tests
-against the monomial module.  Also the two elimination routes of
+against the monomial module.  The `qgm` command is fuzzed in-process
+against its exit-code contract.  Also the two elimination routes of
 exactlin: the Hermite kernel basis against the Smith-form route, and
 the fraction-free unique solve against plain Fraction elimination."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qgm import quiver  # noqa: E402
+from qgm import cli, quiver  # noqa: E402
 from qgm.exactlin import (  # noqa: E402
     IntMatrix,
     RatMatrix,
@@ -41,7 +45,7 @@ from qgm.toricgit import (  # noqa: E402
     theta_generic_quiver,
 )
 
-from helpers import fraction_solve_unique  # noqa: E402
+from helpers import elimination_scan, fraction_solve_unique  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -87,7 +91,7 @@ def _lose_incidence_shape(weights, theta):
 
 
 @PROPERTY
-@given(quivers_with_characters())
+@given(quivers_with_characters(loops=True))
 def test_forest_scan_matches_the_elimination_scan(case):
     q, theta = case
     action = WeightAction.from_quiver(q)
@@ -95,9 +99,7 @@ def test_forest_scan_matches_the_elimination_scan(case):
         [list(r) for r in action.weights.entries], theta)
     transformed = WeightAction(IntMatrix(rows))
     assert transformed.ambient_rank == action.ambient_rank
-    count, relevant = scan_full_rank_subsets(action, theta)
-    count_u, relevant_u = scan_full_rank_subsets(transformed, theta_u)
-    assert (count, relevant) == (count_u, relevant_u)
+    assert scan_full_rank_subsets(q, theta) == elimination_scan(transformed, theta_u)
 
 
 @PROPERTY
@@ -239,3 +241,101 @@ def test_fraction_free_solve_matches_fraction_elimination(case):
     if got[0] == "ok" and got[1] is not None:
         assert all(type(v) is Fraction for v in got[1])
         assert [sum(a * x for a, x in zip(row, got[1])) for row in rows] == b
+
+
+# Fuzzing `qgm` in-process.  Junk tokens draw on an alphabet without
+# "h", so that no token abbreviates --help, whose text is not JSON; JSON
+# arguments start with "{" and so are never read as file paths.
+_JUNK = st.text(alphabet="0123456789abcxyz/.,+-_ e\u0663{}[]\"", max_size=10)
+
+
+def _mostly(valid, junk=_JUNK):
+    """valid seven times in eight, else junk."""
+    return st.integers(0, 7).flatmap(lambda k: valid if k < 7 else junk)
+
+
+def _flag(name, values):
+    """`--name=value`, left out one time in eight."""
+    return _mostly(values.map(lambda v: [f"--{name}={v}"]), st.just([]))
+
+
+_INTEGERS = st.integers(-10 ** 12, 10 ** 12)
+_RATIONALS = _mostly(
+    _INTEGERS.map(str) | st.builds("{}/{}".format, _INTEGERS, st.integers(1, 99)),
+    _JUNK | st.sampled_from(("1/0", "9" * 801)))
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 20), st.floats(),
+                         _RATIONALS, st.lists(st.integers(0, 3), max_size=2))
+_THETAS = _mostly(
+    st.just("default") | st.lists(st.integers(-20, 20), min_size=8, max_size=8).map(
+        lambda v: ",".join(map(str, v + [-sum(v)]))),
+    _JUNK | st.lists(st.integers(-20, 20), max_size=10).map(
+        lambda v: ",".join(map(str, v))))
+
+
+def _inline(objects):
+    return _mostly(objects.map(json.dumps), _JUNK.map("{".__add__)
+                   | st.dictionaries(_JUNK, _JSON_VALUES, max_size=2).map(json.dumps))
+
+
+_POINTS = _inline(_mostly(
+    st.lists(_mostly(_RATIONALS, _JSON_VALUES), min_size=18, max_size=18).map(
+        lambda v: {"values": v})
+    | st.lists(st.integers(0, 17), max_size=12).map(lambda v: {"support": v}),
+    st.lists(_JSON_VALUES, max_size=19).map(lambda v: {"values": v})
+    | st.lists(st.integers(-2, 19) | _JSON_VALUES, max_size=6).map(lambda v: {"support": v})
+    | st.builds(lambda v, k: {k: v}, _JSON_VALUES, st.sampled_from(("values", "support")))))
+_GENERATORS = st.lists(st.lists(st.integers(0, 17), min_size=1, max_size=4), max_size=6)
+_IDEALS = st.sampled_from(("builtin-I0", "empty")) | _inline(_mostly(
+    _GENERATORS.map(lambda g: {"numVars": 18, "generators": g}),
+    st.fixed_dictionaries({
+        "numVars": st.just(10 ** 6) | _JSON_VALUES,
+        "generators": _GENERATORS | _JSON_VALUES
+        | st.lists(st.lists(st.integers(-1, 19) | _JSON_VALUES, max_size=4), max_size=5)})))
+
+
+@st.composite
+def cheap_argvs(draw):
+    """argv for every subcommand but connectedness, rarely junk."""
+    command = draw(_mostly(st.sampled_from(("relations", "lattice", "picard", "stability"))))
+    argv = [command]
+    if command == "relations":
+        for name in "abcd":
+            argv += draw(_flag(name, _RATIONALS))
+    elif command == "lattice":
+        argv += draw(_flag("quiver", _mostly(st.sampled_from(("Q", "Qtilde")))))
+    elif command == "picard":
+        argv += draw(_flag("check", _mostly(st.sampled_from(("gram", "roots", "chain", "all")))))
+    elif command == "stability":
+        argv += draw(_flag("theta", _THETAS))
+        argv += draw(_flag("method", _mostly(st.sampled_from(("cone", "king", "both")))))
+        argv += draw(st.sampled_from(("point", "fuzz")).flatmap(lambda name: _flag(
+            name, _POINTS if name == "point" else _mostly(st.integers(-1, 3).map(str)))))
+        argv += draw(_flag("seed", _mostly(_INTEGERS.map(str))))
+    return argv + draw(_mostly(st.just([]), st.lists(_JUNK, min_size=1, max_size=1)))
+
+
+def connectedness_argvs():
+    return st.builds(lambda theta, ideal: ["connectedness"] + theta + ideal,
+                     _flag("theta", _THETAS), _flag("ideal", _IDEALS))
+
+
+def _check_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        json.loads(out.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(PROPERTY, max_examples=300)
+@given(cheap_argvs())
+def test_cli_keeps_its_exit_codes_on_fuzzed_argv(argv):
+    _check_exit_contract(argv)
+
+
+@PROPERTY
+@given(connectedness_argvs())
+def test_connectedness_keeps_its_exit_codes_on_fuzzed_argv(argv):
+    _check_exit_contract(argv)

@@ -244,27 +244,10 @@ def test_arrow_endpoints_must_be_ints():
             QuiverPresentation(["a", "b"], [("x", src, tgt)])
 
 
-def test_json_coefficients_reject_floats():
-    rs_data = quiver.relation_set_to_json(toric_relation_set())
-    rs_data["pairs"][0]["relations"][0][0]["coeff"] = 0.1
-    with pytest.raises(TypeError):
-        quiver.relation_set_from_json(rs_data)
-    phi = potential_from_relations(toric_relation_set(), canonical_back_arrow_pairing())
-    phi_data = quiver.potential_to_json(phi)
-    phi_data["terms"][0]["coeff"] = 0.1
-    with pytest.raises(TypeError):
-        quiver.potential_from_json(phi_data)
-
-
-def test_json_roundtrips():
+def test_relation_and_potential_coefficients_reject_floats():
     q = canonical_quiver()
-    assert quiver.quiver_from_json(quiver.quiver_to_json(q)) == q
-    rs = toric_relation_set()
-    assert quiver.relation_set_from_json(quiver.relation_set_to_json(rs)) == rs
-    phi = potential_from_relations(rs, canonical_back_arrow_pairing())
-    assert quiver.potential_from_json(quiver.potential_to_json(phi)) == phi
-    data = quiver.relation_set_to_json(rs)
-    for block in data["pairs"]:
-        for combo in block["relations"]:
-            for term in combo:
-                assert "/" in term["coeff"] or term["coeff"].lstrip("-").isdigit()
+    path = Path(q, toric_relation_arrow_pairs()[0][::-1])
+    with pytest.raises(TypeError):
+        RelationSet(q, {(path.source, path.target): [[(0.1, path)]]})
+    with pytest.raises(TypeError):
+        Potential(rolled_up_quiver(), [(0.1, canonical_cycles()[0])])

@@ -4,20 +4,18 @@ from itertools import combinations
 
 import pytest
 
-from qgm import quiver, toricgit
-from qgm.exactlin import IntMatrix, _int_row_reduce, conic_feasible
+from qgm import quiver
+from qgm.exactlin import IntMatrix, _int_row_reduce, conic_feasible, strictly_conic_feasible
+from qgm.monomial import SquarefreeIdeal
 from qgm.toricgit import (
     SPECIAL_THETA,
     CoordinatePoint,
-    NonGenericCharacter,
     StabilityCharacter,
     WeightAction,
     canonical_triviality_check,
     caratheodory_genericity,
-    effective_cone_interior_test,
     hm_semistable,
     hm_stable,
-    irrelevant_ideal_generators,
     king_semistable,
     king_stable,
     lattice_report,
@@ -27,7 +25,7 @@ from qgm.toricgit import (
     theta_generic_quiver,
 )
 
-from helpers import random_point_values
+from helpers import elimination_scan, exhaustive_irrelevant_supports, random_point_values
 
 Q = quiver.canonical_quiver()
 QT = quiver.rolled_up_quiver()
@@ -151,14 +149,17 @@ def test_caratheodory_genericity():
 
 
 def test_irrelevant_ideal_toy_cases():
+    # the oracles on a non-incidence action: the full-rank subsets whose
+    # cone holds a generic character, and the minimal supports
     toy = WeightAction(IntMatrix([[1, 0], [0, 1]]))
-    ideal = irrelevant_ideal_generators(toy, (1, 1))
-    assert ideal.generators == ((0, 1),)
+    assert elimination_scan(toy, (1, 1)) == (1, [(0, 1)])
+    assert exhaustive_irrelevant_supports(toy, (1, 1)) == [(0, 1)]
     # character outside the effective cone: empty ideal
-    outside = irrelevant_ideal_generators(toy, (-1, 1))
-    assert outside.is_zero()
-    with pytest.raises(NonGenericCharacter):
-        irrelevant_ideal_generators(toy, (1, 0))
+    assert elimination_scan(toy, (-1, 1)) == (1, [])
+    assert exhaustive_irrelevant_supports(toy, (-1, 1)) == []
+    # a non-generic character is held by a smaller support
+    assert not caratheodory_genericity(toy, (1, 0))
+    assert exhaustive_irrelevant_supports(toy, (1, 0)) == [(0,)]
 
 
 def test_irrelevant_ideal_exhaustive_matches_default_on_toys():
@@ -169,30 +170,30 @@ def test_irrelevant_ideal_exhaustive_matches_default_on_toys():
         chi = tuple(sum(r[j] for r in rows) for j in range(3))
         if not caratheodory_genericity(action, chi):
             continue
-        default = irrelevant_ideal_generators(action, chi)
-        exhaustive = irrelevant_ideal_generators(action, chi, exhaustive=True)
+        _count, default = elimination_scan(action, chi)
+        exhaustive = exhaustive_irrelevant_supports(action, chi)
         # the size-r generators refine the minimal supports: each
         # exhaustive generator is contained in some default one and
         # both cut out the same semistable supports
-        for g in default.generators:
-            assert any(set(e) <= set(g) for e in exhaustive.generators)
-        for e in exhaustive.generators:
+        for g in default:
+            assert any(set(e) <= set(g) for e in exhaustive)
+        for e in exhaustive:
             assert conic_feasible(action.rows_for(e), chi) is not None
 
 
 def test_canonical_octuple_scan():
-    count, relevant = scan_full_rank_subsets(ACTION, SPECIAL_THETA)
+    count, relevant = scan_full_rank_subsets(Q, SPECIAL_THETA)
     assert count == 8748
     assert len(relevant) == 1053
-    ideal = irrelevant_ideal_generators(ACTION, SPECIAL_THETA)
+    ideal = SquarefreeIdeal(18, relevant)
     assert len(ideal.generators) == 1053
     assert all(len(g) == 8 for g in ideal.generators)
 
 
 def test_octuple_scan_against_general_elimination_path():
-    # an invertible change of torus basis destroys the incidence shape,
-    # forcing the elimination-and-solve path; subsets and verdicts must
-    # be identical to the fast scan
+    # the elimination-and-solve oracle, run after an invertible change of
+    # torus basis that destroys the incidence shape; subsets and verdicts
+    # must be identical to the forest scan on the quiver
     u = [[1 if i == j else 0 for j in range(9)] for i in range(9)]
     for i in range(8):
         u[i][i + 1] = 1
@@ -204,10 +205,10 @@ def test_octuple_scan_against_general_elimination_path():
                for j in range(9)]
     transformed = WeightAction(IntMatrix(wt))
     assert transformed.ambient_rank == 8
-    count_t, relevant_t = scan_full_rank_subsets(transformed, theta_t)
-    count, relevant = scan_full_rank_subsets(ACTION, SPECIAL_THETA)
+    count_t, relevant_t = elimination_scan(transformed, theta_t)
+    count, relevant = scan_full_rank_subsets(Q, SPECIAL_THETA)
     assert count_t == count
-    assert sorted(relevant_t) == sorted(relevant)
+    assert relevant_t == relevant
 
 
 def test_octuple_membership_against_simplex_recount():
@@ -215,7 +216,7 @@ def test_octuple_membership_against_simplex_recount():
     # over all octuples; by genericity no rank-deficient octuple may
     # contain the character, and on full-rank octuples the verdicts of
     # the two routes must agree exactly
-    _count, relevant = scan_full_rank_subsets(ACTION, SPECIAL_THETA)
+    _count, relevant = scan_full_rank_subsets(Q, SPECIAL_THETA)
     relevant_set = set(map(tuple, relevant))
     rows = [list(r) for r in ACTION.weights.entries]
     theta = SPECIAL_THETA.theta
@@ -303,8 +304,6 @@ def test_character_entries_must_be_integers():
 def test_strong_convexity():
     assert strong_convexity_pairings() == [3] * 27
     assert strong_convexity_check()
-    zero = IntMatrix([[0] * 27 for _ in range(27)])
-    assert strong_convexity_pairings(zero) == [0] * 27
 
 
 def test_effective_cone_interior():
@@ -313,9 +312,11 @@ def test_effective_cone_interior():
     assert action.ambient_rank == 19
     column_sums = tuple(sum(rho.entry(i, j) for i in range(27)) for j in range(27))
     assert column_sums == (3,) * 27
-    assert effective_cone_interior_test(action, column_sums)
-    assert not effective_cone_interior_test(action, (0,) * 27)
-    assert not effective_cone_interior_test(action, rho.row(0))
+    # nonempty stable locus: the column sums lie in the interior of the
+    # cone of all weight rows, the origin and a single row do not
+    for chi, inside in ((column_sums, True), ((0,) * 27, False), (rho.row(0), False)):
+        assert strictly_conic_feasible(list(rho.entries), chi,
+                                       ambient_rank=action.ambient_rank) == inside
 
 
 def test_canonical_triviality():
@@ -331,28 +332,16 @@ def test_canonical_triviality():
 
 
 def test_irrelevant_ideal_invariant_under_coordinate_permutation():
-    # relabeling the arrows (with the matching row permutation of the
-    # weight matrix) permutes the generators accordingly
+    # reordering the arrows permutes the generators accordingly
     rng = random.Random(18)
     perm = list(range(18))
     rng.shuffle(perm)
-    rows = [ACTION.weights.row(perm[i]) for i in range(18)]
-    permuted = WeightAction(IntMatrix(rows))
-    ideal = irrelevant_ideal_generators(ACTION, SPECIAL_THETA)
-    ideal_p = irrelevant_ideal_generators(permuted, SPECIAL_THETA)
+    permuted = quiver.QuiverPresentation(Q.vertices, [Q.arrows[perm[i]] for i in range(18)])
+    _count, relevant = scan_full_rank_subsets(Q, SPECIAL_THETA)
+    _count_p, relevant_p = scan_full_rank_subsets(permuted, SPECIAL_THETA)
     inverse = {perm[i]: i for i in range(18)}
-    mapped = {tuple(sorted(inverse[v] for v in g)) for g in ideal.generators}
-    assert mapped == set(ideal_p.generators)
-
-
-def test_json_io():
-    data = {"weights": [[1, 0], [0, 1]], "theta": [1, 1]}
-    action = WeightAction.from_json(data)
-    assert action.ambient_rank == 2
-    assert action.to_json() == {"weights": [[1, 0], [0, 1]]}
-    chi = toricgit.character_from_json(data)
-    assert chi.theta == (1, 1)
-    assert hm_semistable(action, chi, CoordinatePoint(2, (0, 1)))
+    mapped = {tuple(sorted(inverse[v] for v in g)) for g in relevant}
+    assert mapped == set(relevant_p)
 
 
 def test_forest_scan_on_a_disconnected_multigraph():
@@ -361,17 +350,14 @@ def test_forest_scan_on_a_disconnected_multigraph():
     # maximal spanning forests, and theta must vanish on every component
     q = quiver.QuiverPresentation(
         ["0", "1", "2", "3", "4"], [("a", 0, 1), ("b", 0, 1), ("c", 2, 3)])
-    action = WeightAction.from_quiver(q)
-    assert action.ambient_rank == 2
-    assert scan_full_rank_subsets(action, (-1, 1, -2, 2, 0)) == (2, [(0, 2), (1, 2)])
-    assert scan_full_rank_subsets(action, (-1, 1, 2, -2, 0)) == (2, [])
-    assert scan_full_rank_subsets(action, (-1, 1, -1, 2, -1)) == (2, [])
+    assert WeightAction.from_quiver(q).ambient_rank == 2
+    assert scan_full_rank_subsets(q, (-1, 1, -2, 2, 0)) == (2, [(0, 2), (1, 2)])
+    assert scan_full_rank_subsets(q, (-1, 1, 2, -2, 0)) == (2, [])
+    assert scan_full_rank_subsets(q, (-1, 1, -1, 2, -1)) == (2, [])
 
 
 def test_coordinate_point_indices_must_be_ints():
     for bad in (1.5, True, "1"):
         with pytest.raises(TypeError):
             CoordinatePoint(18, [0, bad])
-        with pytest.raises(TypeError):
-            CoordinatePoint(18, [1], {bad: 1})
-    assert CoordinatePoint(18, [0, 1], {0: 1, 1: "1/2"}).values[1] == Fraction(1, 2)
+    assert CoordinatePoint.from_values([1, 0, "1/2", Fraction(0)]).support == {0, 2}
