@@ -24,11 +24,16 @@ class SquarefreeIdeal:
         if _check_int(num_vars) < 0:
             raise ValueError("num_vars must be nonnegative")
         self.num_vars = num_vars
-        self.generators = _antichain({_support_mask(num_vars, g) for g in generators})
-        self.var_bits = [0] * num_vars
+        # dict.fromkeys drops repeats but keeps the order, so generators
+        # given in canonical order (as the forest scan gives them) sort
+        # in linear time in _antichain
+        self.generators = _antichain(
+            dict.fromkeys(_support_mask(num_vars, g) for g in generators))
+        self.var_bits = var_bits = [0] * num_vars
         for k, g in enumerate(self.generators):
+            bit = 1 << k
             for v in g:
-                self.var_bits[v] |= 1 << k
+                var_bits[v] |= bit
         self.all_bits = (1 << len(self.generators)) - 1
 
     def hit_bits(self, variables) -> int:
@@ -76,16 +81,25 @@ class MonomialPrime:
 
 
 def _support_mask(num_vars, variables) -> int:
+    """Bit mask of the variables, each an int in range(num_vars); the
+    plain-int test lets _check_int see only what may need refusing."""
     mask = 0
     for v in variables:
-        if not 0 <= _check_int(v) < num_vars:
-            raise ValueError("variable out of range")
+        if v.__class__ is not int or not 0 <= v < num_vars:
+            if not 0 <= _check_int(v) < num_vars:
+                raise ValueError("variable out of range")
         mask |= 1 << v
     return mask
 
 
 def _members(mask):
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+    """The set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _antichain(masks):

@@ -9,10 +9,17 @@ weight matrix.  For the signed-incidence action coming from a quiver,
 the same verdicts are reproduced module-free from submodule supports
 (king_stable / king_semistable below), and the irrelevant ideal is read
 off the quiver's own arrows: its generators are the maximal spanning
-forests whose cut values are nonnegative (scan_full_rank_subsets).
+forests whose cut values are nonnegative (scan_full_rank_subsets).  The
+forests do not depend on the character, so they are enumerated once per
+quiver and process into an index (_forest_index) that keeps each forest
+with the bit set of its cut sets; a character then costs one sum per
+distinct cut set and one AND per forest.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
+from functools import lru_cache
 
 from . import cubicrel
 from . import quiver as quiver_mod
@@ -27,6 +34,7 @@ from .exactlin import (
     rank,
     strictly_conic_feasible,
 )
+from .monomial import _members
 
 
 class WeightAction:
@@ -290,31 +298,69 @@ class UnionFind:
         self.parent[rb] = rb
 
 
-def _cut_values_nonnegative(adj, theta) -> bool:
-    """Cone containment on a maximal spanning forest, adj[v] listing (w, +1)
-    per edge v -> w and (w, -1) per w -> v.  An edge's coefficient is its
-    cut value, the theta-sum of the subtree on its head side; these must
-    be nonnegative, and theta must sum to zero on every component."""
-    sub = list(theta)
-    seen = [False] * len(theta)
-    for root in range(len(theta)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order = [(root, root, 0)]  # (vertex, parent, sign), breadth-first
-        for v, _parent, _sign in order:
-            for w, sign in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append((w, v, sign))
-        for v, parent, sign in reversed(order[1:]):
-            # parent -> v carries sub[v], v -> parent -sub[v] (zero-sum component)
-            if sign * sub[v] < 0:
-                return False
-            sub[parent] += sub[v]
-        if sub[root]:
-            return False
-    return True
+@lru_cache(maxsize=4)
+def _forest_index(nverts: int, edges: tuple):
+    """The character-free part of scan_full_rank_subsets, built once per
+    quiver: (components, sides, forests).
+
+    components lists the vertices of each connected component of the
+    quiver, sides the vertices of each distinct head side (the key of
+    bit k), and forests holds one int per maximal spanning forest, in
+    lexicographic order: its head-side key bits shifted above the
+    len(edges)-bit mask of its arrows.  The head side of a forest arrow
+    is the vertex set on its head's side once the arrow is cut.  It
+    grows with the forest: an arrow joining the sets of s and t adds the
+    set of t to each head side holding s, and the set of s to each one
+    holding t; its own head side is the set of t.
+    """
+    rank_uf = UnionFind(nverts)
+    size = sum(rank_uf.union(s, t) is not None for s, t in edges)
+    by_root = {}
+    for v in range(nverts):
+        by_root.setdefault(rank_uf.find(v), []).append(v)
+    components = tuple(map(tuple, by_root.values()))
+    m, uf = len(edges), UnionFind(nverts)
+    find, union, undo = uf.find, uf.union, uf.undo
+    reach = [-1] * nverts  # per root: the last edge index touching its set
+    for i, (s, t) in enumerate(edges):
+        reach[s] = reach[t] = i
+    bits = [1 << v for v in range(nverts)]  # per root: the vertices of its set
+    arrows = [(s, t, 1 << s, 1 << t, 1 << i) for i, (s, t) in enumerate(edges)]
+    ids = defaultdict(lambda: 1 << len(ids))  # head side -> key bit, by first sight
+    forests = []
+
+    def rec(i, depth, mask, sides):
+        # arrows i, i + 1, ... in turn: each one joining two sets is taken,
+        # then left out only while both sets touch a later arrow
+        while m - i >= size - depth:
+            s, t, sbit, tbit, arrow = arrows[i]
+            i += 1
+            rs, rt = find(s), find(t)
+            if rs == rt:
+                continue
+            bs, bt = bits[rs], bits[rt]
+            grown = [side | bt if side & sbit else side | bs if side & tbit else side
+                     for side in sides]
+            grown.append(bt)
+            if depth + 1 == size:
+                key = sum(map(ids.__getitem__, grown))
+                forests.append(key << m | mask | arrow)
+            else:
+                joined = union(rs, rt)
+                reach_before, reach[joined] = reach[joined], max(reach[rs], reach[rt])
+                bits_before, bits[joined] = bits[joined], bs | bt
+                rec(i, depth + 1, mask | arrow, grown)
+                bits[joined] = bits_before
+                reach[joined] = reach_before
+                undo()
+            if reach[rs] < i or reach[rt] < i:
+                return
+
+    if size:
+        rec(0, 0, 0, [])
+    else:
+        forests.append(0)  # no arrow joins two vertices: the empty forest
+    return components, tuple(map(_members, ids)), tuple(forests)
 
 
 def scan_full_rank_subsets(q: quiver_mod.QuiverPresentation, chi):
@@ -325,54 +371,32 @@ def scan_full_rank_subsets(q: quiver_mod.QuiverPresentation, chi):
     whose cone contains the character, in lexicographic order: the
     generators of the irrelevant ideal when the character is generic.
     The ambient rank is the number of unions that join two sets in one
-    union-find pass over the arrows.  The forests are enumerated by
-    include/exclude recursion over the arrows with an undoable union-find
-    (Read and Tarjan, Networks 5, 1975); an arrow joining two sets is left
-    out only while both touch a later arrow, else one could never grow.
-    Cone containment is read off the cut values.
+    union-find pass over the arrows.  The forests are enumerated once per
+    quiver (_forest_index) by include/exclude recursion over the arrows
+    with an undoable union-find (Read and Tarjan, Networks 5, 1975); an
+    arrow joining two sets is left out only while both touch a later
+    arrow, else one could never grow.
+
+    Cone containment is read off the cut values.  The character must sum
+    to zero on every component; then a forest arrow's coefficient is the
+    character sum over its head side, so a forest holds the character
+    exactly when none of its head sides has a negative sum.  Per
+    character this is one sum per distinct head side and one AND per
+    forest.
     """
     theta = _theta_of(chi)
     nverts = len(q.vertices)
     if len(theta) != nverts:
         raise DimensionMismatch("character has wrong length")
-    edges = [(s, t) for _label, s, t in q.arrows]
-    rank_uf = UnionFind(nverts)
-    size = sum(rank_uf.union(s, t) is not None for s, t in edges)
-    m, uf, adj = len(edges), UnionFind(nverts), [[] for _ in range(nverts)]
-    reach = [-1] * nverts  # per root: the last edge index touching its set
-    for i, (s, t) in enumerate(edges):
-        reach[s] = reach[t] = i
-    chosen, relevant, trees = [], [], 0
-
-    def rec(i):
-        nonlocal trees
-        if len(chosen) == size:
-            trees += 1
-            if _cut_values_nonnegative(adj, theta):
-                relevant.append(tuple(chosen))
-            return
-        if m - i < size - len(chosen):
-            return
-        s, t = edges[i]
-        rs, rt = uf.find(s), uf.find(t)
-        if rs == rt:
-            return rec(i + 1)
-        joined = uf.union(rs, rt)
-        reach_before, reach[joined] = reach[joined], max(reach[rs], reach[rt])
-        chosen.append(i)
-        adj[s].append((t, 1))
-        adj[t].append((s, -1))
-        rec(i + 1)
-        adj[s].pop()
-        adj[t].pop()
-        chosen.pop()
-        reach[joined] = reach_before
-        uf.undo()
-        if reach[rs] > i and reach[rt] > i:
-            rec(i + 1)
-
-    rec(0)
-    return trees, relevant
+    m = len(q.arrows)
+    components, sides, forests = _forest_index(
+        nverts, tuple((s, t) for _label, s, t in q.arrows))
+    if any(sum(theta[v] for v in comp) for comp in components):
+        return len(forests), []
+    bad = sum(1 << k for k, side in enumerate(sides)
+              if sum(map(theta.__getitem__, side)) < 0) << m
+    arrows = (1 << m) - 1
+    return len(forests), [_members(f & arrows) for f in forests if not f & bad]
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,81 @@ def elimination_scan(action, theta):
     return full_rank, relevant
 
 
+def _cut_values_nonnegative(adj, theta) -> bool:
+    """Cone containment on a maximal spanning forest, adj[v] listing (w, +1)
+    per edge v -> w and (w, -1) per w -> v.  An edge's coefficient is its
+    cut value, the theta-sum of the subtree on its head side; these must
+    be nonnegative, and theta must sum to zero on every component."""
+    sub = list(theta)
+    seen = [False] * len(theta)
+    for root in range(len(theta)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [(root, root, 0)]  # (vertex, parent, sign), breadth-first
+        for v, _parent, _sign in order:
+            for w, sign in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append((w, v, sign))
+        for v, parent, sign in reversed(order[1:]):
+            # parent -> v carries sub[v], v -> parent -sub[v] (zero-sum component)
+            if sign * sub[v] < 0:
+                return False
+            sub[parent] += sub[v]
+        if sub[root]:
+            return False
+    return True
+
+
+def forest_scan(q, theta):
+    """(full_rank_count, relevant) of toricgit.scan_full_rank_subsets by
+    a full forest scan per character: the same include/exclude recursion
+    over the arrows, with the cut values of each forest summed from its
+    subtrees by a breadth-first walk (test-local oracle)."""
+    from qgm.toricgit import UnionFind
+
+    nverts = len(q.vertices)
+    edges = [(s, t) for _label, s, t in q.arrows]
+    rank_uf = UnionFind(nverts)
+    size = sum(rank_uf.union(s, t) is not None for s, t in edges)
+    m, uf, adj = len(edges), UnionFind(nverts), [[] for _ in range(nverts)]
+    reach = [-1] * nverts  # per root: the last edge index touching its set
+    for i, (s, t) in enumerate(edges):
+        reach[s] = reach[t] = i
+    chosen, relevant, trees = [], [], 0
+
+    def rec(i):
+        nonlocal trees
+        if len(chosen) == size:
+            trees += 1
+            if _cut_values_nonnegative(adj, theta):
+                relevant.append(tuple(chosen))
+            return
+        if m - i < size - len(chosen):
+            return
+        s, t = edges[i]
+        rs, rt = uf.find(s), uf.find(t)
+        if rs == rt:
+            return rec(i + 1)
+        joined = uf.union(rs, rt)
+        reach_before, reach[joined] = reach[joined], max(reach[rs], reach[rt])
+        chosen.append(i)
+        adj[s].append((t, 1))
+        adj[t].append((s, -1))
+        rec(i + 1)
+        adj[s].pop()
+        adj[t].pop()
+        chosen.pop()
+        reach[joined] = reach_before
+        uf.undo()
+        if reach[rs] > i and reach[rt] > i:
+            rec(i + 1)
+
+    rec(0)
+    return trees, relevant
+
+
 def exhaustive_irrelevant_supports(action, theta):
     """The inclusion-minimal coordinate subsets whose weight cone holds
     theta, found over all subsets with no genericity assumption

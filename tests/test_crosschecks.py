@@ -140,6 +140,38 @@ def test_stability_equivalence_for_other_characters():
             assert hm_stable(action, chi, p) == king_stable(q, chi, p)
 
 
+def test_stability_equivalence_for_random_generic_characters():
+    # for characters with no zero-sum proper vertex subset the cone and
+    # submodule verdicts agree on random supports of every density, and
+    # semistable points are stable (no subset sits on the boundary); the
+    # characters are positive arrow-weight combinations, so inside the
+    # cone, or free entries, mostly outside it
+    q = quiver.canonical_quiver()
+    action = WeightAction.from_quiver(q)
+    rng = random.Random(37)
+    generic = semistable_points = 0
+    while generic < 24:
+        theta = [rng.randint(-1000, 1000) for _ in range(9)]
+        if generic % 2 == 0:
+            theta = [0] * 9
+            for _label, s, t in q.arrows:
+                c = rng.randint(0, 100)
+                theta[s] -= c
+                theta[t] += c
+        theta[8] -= sum(theta)
+        if not toricgit.theta_generic_quiver(q, theta):
+            continue
+        generic += 1
+        for _ in range(25):
+            density = rng.random()
+            p = CoordinatePoint(18, [a for a in range(18) if rng.random() < density])
+            semistable = hm_semistable(action, theta, p)
+            assert semistable == king_semistable(q, theta, p)
+            assert hm_stable(action, theta, p) == king_stable(q, theta, p) == semistable
+            semistable_points += semistable
+    assert semistable_points >= 60
+
+
 def test_forest_flow_on_a_smaller_quiver():
     # a four-vertex quiver whose ambient rank is 3: the forest scan must
     # agree with the elimination oracle and with the feasibility solver

@@ -138,15 +138,28 @@ def test_output_is_sorted_and_deterministic():
     assert first == second == sorted(first)
 
 
-@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None])
+@pytest.mark.parametrize("bad", [1.5, 1.0, -1.0, True, False, "1", None])
 def test_variables_must_be_ints(bad):
-    # int() would silently turn these into a different ideal or prime
+    # int() would silently turn these into a different ideal or prime;
+    # a bad variable is refused also behind valid generators and variables
     with pytest.raises(TypeError):
         SquarefreeIdeal(4, [[0, bad]])
     with pytest.raises(TypeError):
+        SquarefreeIdeal(4, [(0, 1), {bad}])
+    with pytest.raises(TypeError):
         MonomialPrime(4, [bad])
     with pytest.raises(TypeError):
+        MonomialPrime(4, [3, bad])
+    with pytest.raises(TypeError):
         SquarefreeIdeal(bad, [])
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 1 << 70])
+def test_variables_must_be_in_range(bad):
+    with pytest.raises(ValueError):
+        SquarefreeIdeal(4, [(0, 1), (2, bad)])
+    with pytest.raises(ValueError):
+        MonomialPrime(4, [3, bad])
 
 
 def test_generator_bit_sets():

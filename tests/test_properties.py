@@ -1,8 +1,9 @@
 """Property tests (hypothesis) for the incidence route of the
-connectedness pipeline: the spanning-forest scan against the elimination
-oracle in tests/helpers.py, the redundancy of Carathéodory genericity, bit-set minimal primes
-against brute force, and the pipeline's bit-set containment tests
-against the monomial module.  The `qgm` command is fuzzed in-process
+connectedness pipeline: the spanning-forest index against the forest
+scan and elimination oracles in tests/helpers.py, the redundancy of
+Carathéodory genericity, bit-set minimal primes against brute force,
+and the pipeline's bit-set containment tests against the monomial
+module.  The `qgm` command is fuzzed in-process
 against its exit-code contract.  Also the two elimination routes of
 exactlin: the Hermite kernel basis against the Smith-form route, and
 the fraction-free unique solve against plain Fraction elimination."""
@@ -45,7 +46,7 @@ from qgm.toricgit import (  # noqa: E402
     theta_generic_quiver,
 )
 
-from helpers import elimination_scan, fraction_solve_unique  # noqa: E402
+from helpers import elimination_scan, forest_scan, fraction_solve_unique  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -64,20 +65,25 @@ def small_quivers(draw, loops=False):
 
 
 @st.composite
-def quivers_with_characters(draw, loops=False):
-    """A small quiver and a character: either free small entries or a
-    nonnegative combination of arrow weights (so inside the cone)."""
-    q = draw(small_quivers(loops=loops))
+def characters(draw, q):
+    """A character of q: either free small entries or a nonnegative
+    combination of arrow weights (so inside the cone)."""
     n = len(q.vertices)
     if draw(st.booleans()):
-        theta = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
-    else:
-        theta = [0] * n
-        for _label, s, t in q.arrows:
-            c = draw(st.integers(0, 3))
-            theta[s] -= c
-            theta[t] += c
-    return q, theta
+        return draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    theta = [0] * n
+    for _label, s, t in q.arrows:
+        c = draw(st.integers(0, 3))
+        theta[s] -= c
+        theta[t] += c
+    return theta
+
+
+@st.composite
+def quivers_with_characters(draw, loops=False):
+    """A small quiver and one of its characters."""
+    q = draw(small_quivers(loops=loops))
+    return q, draw(characters(q))
 
 
 def _lose_incidence_shape(weights, theta):
@@ -91,15 +97,23 @@ def _lose_incidence_shape(weights, theta):
 
 
 @PROPERTY
-@given(quivers_with_characters(loops=True))
-def test_forest_scan_matches_the_elimination_scan(case):
-    q, theta = case
-    action = WeightAction.from_quiver(q)
-    rows, theta_u = _lose_incidence_shape(
-        [list(r) for r in action.weights.entries], theta)
-    transformed = WeightAction(IntMatrix(rows))
-    assert transformed.ambient_rank == action.ambient_rank
-    assert scan_full_rank_subsets(q, theta) == elimination_scan(transformed, theta_u)
+@given(quivers_with_characters(loops=True), quivers_with_characters(loops=True), st.data())
+def test_forest_scan_matches_the_elimination_scan(first, second, data):
+    # the index of each quiver is built once and then serves several
+    # characters; the two quivers take turns, so an index handed to the
+    # wrong quiver would show against the per-character oracles
+    cases = [first, second]
+    for _round in range(2):
+        cases += [(q, data.draw(characters(q))) for q, _theta in cases[:2]]
+    for q, theta in cases:
+        action = WeightAction.from_quiver(q)
+        rows, theta_u = _lose_incidence_shape(
+            [list(r) for r in action.weights.entries], theta)
+        transformed = WeightAction(IntMatrix(rows))
+        assert transformed.ambient_rank == action.ambient_rank
+        expected = forest_scan(q, theta)
+        assert scan_full_rank_subsets(q, theta) == expected
+        assert elimination_scan(transformed, theta_u) == expected
 
 
 @PROPERTY

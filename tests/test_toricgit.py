@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -25,7 +25,12 @@ from qgm.toricgit import (
     theta_generic_quiver,
 )
 
-from helpers import elimination_scan, exhaustive_irrelevant_supports, random_point_values
+from helpers import (
+    elimination_scan,
+    exhaustive_irrelevant_supports,
+    forest_scan,
+    random_point_values,
+)
 
 Q = quiver.canonical_quiver()
 QT = quiver.rolled_up_quiver()
@@ -344,6 +349,68 @@ def test_irrelevant_ideal_invariant_under_coordinate_permutation():
     assert mapped == set(relevant_p)
 
 
+ARROW_BIT = [1 << a for a in range(18)]
+
+
+def _layer_automorphisms():
+    """The 216 vertex permutations of Q that permute each column of three
+    vertices (S3 x S3 x S3), with the arrow permutation each induces:
+    consecutive columns are joined by all nine arrows, so every one of
+    them is an automorphism."""
+    arrow_at = {(s, t): a for a, (_label, s, t) in enumerate(Q.arrows)}
+    layers = [[quiver.vertex_id(i, j) for i in range(3)] for j in range(3)]
+    out = []
+    for images in product(permutations(range(3)), repeat=3):
+        sigma = [0] * 9
+        for layer, image in zip(layers, images):
+            for v, k in zip(layer, image):
+                sigma[v] = layer[k]
+        arrows = [arrow_at[sigma[s], sigma[t]] for _label, s, t in Q.arrows]
+        out.append((sigma, arrows))
+    return out
+
+
+def _seeded_cone_characters(count, seed):
+    """Generic characters in the cone: positive combinations of the arrow
+    weights, drawn until theta_generic_quiver holds."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        theta = [0] * 9
+        for _label, s, t in Q.arrows:
+            c = rng.randint(1, 40)
+            theta[s] -= c
+            theta[t] += c
+        if theta_generic_quiver(Q, theta):
+            out.append(tuple(theta))
+    return out
+
+
+def test_irrelevant_ideal_is_equivariant_under_the_layer_automorphisms():
+    # relevant(sigma theta) = sigma(relevant(theta)) for each of the 216
+    # automorphisms, and the 72 that fix SPECIAL_THETA fix its generators
+    automorphisms = _layer_automorphisms()
+    assert len(automorphisms) == 216
+    assert all(sorted(arrows) == list(range(18)) for _sigma, arrows in automorphisms)
+    fixing = 0
+    for theta in [SPECIAL_THETA.theta] + _seeded_cone_characters(3, 72):
+        count, relevant = scan_full_rank_subsets(Q, theta)
+        assert count == 8748 and relevant
+        for sigma, arrows in automorphisms:
+            moved = [0] * 9
+            for v, value in enumerate(theta):
+                moved[sigma[v]] = value
+            _count, image = scan_full_rank_subsets(Q, moved)
+            bit_of = [1 << a for a in arrows].__getitem__
+            expected = {sum(map(bit_of, g)) for g in relevant}
+            assert len(image) == len(relevant)
+            assert {sum(map(ARROW_BIT.__getitem__, g)) for g in image} == expected
+            if theta == SPECIAL_THETA.theta and moved == list(theta):
+                fixing += 1
+                assert image == relevant and len(relevant) == 1053
+    assert fixing == 72
+
+
 def test_forest_scan_on_a_disconnected_multigraph():
     # two parallel arrows 0 -> 1, one arrow 2 -> 3 and an isolated vertex
     # 4: ambient rank 2 < 4 vertices - 1, so the full-rank subsets are the
@@ -354,6 +421,25 @@ def test_forest_scan_on_a_disconnected_multigraph():
     assert scan_full_rank_subsets(q, (-1, 1, -2, 2, 0)) == (2, [(0, 2), (1, 2)])
     assert scan_full_rank_subsets(q, (-1, 1, 2, -2, 0)) == (2, [])
     assert scan_full_rank_subsets(q, (-1, 1, -1, 2, -1)) == (2, [])
+
+
+@pytest.mark.parametrize("n", [7, 12, 20, 40, 70])
+def test_forest_index_on_long_cycles(n):
+    # an oriented n-cycle plus a chord and a loop: n + (n // 2)(n - n // 2)
+    # forests, whose head sides reach past a 64-bit word of vertices
+    arrows = [(f"a{v}", v, (v + 1) % n) for v in range(n)]
+    arrows += [("chord", 0, n // 2), ("loop", 1, 1)]
+    q = quiver.QuiverPresentation([str(v) for v in range(n)], arrows)
+    rng = random.Random(n)
+    for _ in range(3):
+        theta = [0] * n  # a positive arrow-weight combination, inside the cone
+        for _label, s, t in arrows:
+            c = rng.randint(1, 3)
+            theta[s] -= c
+            theta[t] += c
+        count, relevant = scan_full_rank_subsets(q, theta)
+        assert relevant and (count, relevant) == forest_scan(q, theta)
+        assert count == n + (n // 2) * (n - n // 2)
 
 
 def test_coordinate_point_indices_must_be_ints():
