@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
 
 from . import cubicrel, picard, pipeline, quiver, toricgit
+from .exactlin import _INTEGER, _RATIONAL
 from .monomial import SquarefreeIdeal
 
 EXIT_OK = 0
@@ -29,8 +29,6 @@ EXIT_PRECONDITION = 2
 EXIT_PARSE = 3
 
 MAX_DIGITS = 800
-_INTEGER = re.compile(r"[-+]?([0-9]+)")
-_RATIONAL = re.compile(_INTEGER.pattern + r"(?:/([0-9]+))?")
 
 
 class CliError(Exception):
@@ -40,8 +38,8 @@ class CliError(Exception):
 
 
 def _parse_rational(value) -> Fraction:
-    """An int, or a string "n" or "p/q" of ASCII digits with an optional
-    sign; numerators and denominators have at most MAX_DIGITS digits."""
+    """An int, or a string "n" or "p/q" in the syntax of exactlin._rat;
+    numerators and denominators have at most MAX_DIGITS digits."""
     if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
         too_long = max(len(part) for part in match.groups("")) > MAX_DIGITS
     elif type(value) is int:  # not a bool
@@ -223,9 +221,11 @@ def _random_point(rng) -> toricgit.CoordinatePoint:
 def _stability_verdicts(q, action, theta, point, method):
     out = {}
     if method in ("cone", "both"):
+        # an interior point of a cone lies in the cone
+        semistable = toricgit.hm_semistable(action, theta, point)
         out["cone"] = {
-            "semistable": toricgit.hm_semistable(action, theta, point),
-            "stable": toricgit.hm_stable(action, theta, point),
+            "semistable": semistable,
+            "stable": semistable and toricgit.hm_stable(action, theta, point),
         }
     if method in ("king", "both"):
         out["king"] = {

@@ -7,7 +7,10 @@ points contribute four nonzero parameters a, b, c, d.  For each pair of
 a left column vertex (i,0) and a right column vertex (j,2) the three
 length-two paths between them satisfy one linear dependence; the
 dependence coefficients are computed exactly and verified by expanding
-the corresponding polynomial identity to zero.  All 27 coefficients are
+the corresponding polynomial identity to zero.  Every identity is
+multilinear in the six point columns, so this runs on the columns scaled
+to integers and scales the coefficients back exactly at the end.  All
+27 coefficients are
 nonzero in general position, and rescaling the arrows changes them by
 the cycle-coordinate torus action, so evaluating the invariant
 characters of that action gives a well-defined point of an eight-torus.
@@ -17,11 +20,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, prod
 from operator import mul
 
 from . import quiver as quiver_mod
-from .exactlin import RatMatrix, _rat, integer_kernel_basis
+from .exactlin import _int_row, _int_row_reduce, _rat, integer_kernel_basis
 from .multipoly import TriPoly, monomials_of_degree
 
 
@@ -37,25 +41,13 @@ class IndexOutOfRange(IndexError):
     pass
 
 
-class PointConfiguration:
-    """Six points on the plane: columns (1,a,b), (1,c,d), (1,1,1),
-    (1,0,0), (0,1,0), (0,0,1) of a 3x6 matrix, with a, b, c, d nonzero."""
+class _Points:
+    """Six plane points, the 1-based columns of a 3x6 matrix over any exact ring."""
 
-    __slots__ = ("a", "b", "c", "d", "columns")
+    __slots__ = ("columns",)
 
-    def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = (_rat(v) for v in (a, b, c, d))
-        if 0 in (self.a, self.b, self.c, self.d):
-            raise DegenerateConfiguration("parameters must be nonzero")
-        one, zero = Fraction(1), Fraction(0)
-        self.columns = (
-            (one, self.a, self.b),
-            (one, self.c, self.d),
-            (one, one, one),
-            (one, zero, zero),
-            (zero, one, zero),
-            (zero, zero, one),
-        )
+    def __init__(self, columns):
+        self.columns = tuple(columns)
 
     def column(self, i: int):
         """1-based column of the point matrix."""
@@ -63,11 +55,27 @@ class PointConfiguration:
             raise IndexOutOfRange(f"column {i} out of range")
         return self.columns[i - 1]
 
-    def entry(self, row: int, col: int) -> Fraction:
+    def entry(self, row: int, col: int):
         """1-based entry of the point matrix."""
         if not 1 <= row <= 3:
             raise IndexOutOfRange(f"row {row} out of range")
         return self.column(col)[row - 1]
+
+
+_SIMPLEX = ((1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+class PointConfiguration(_Points):
+    """Six points on the plane: columns (1,a,b), (1,c,d), (1,1,1),
+    (1,0,0), (0,1,0), (0,0,1) of a 3x6 matrix, with a, b, c, d nonzero."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = (_rat(v) for v in (a, b, c, d))
+        if 0 in (self.a, self.b, self.c, self.d):
+            raise DegenerateConfiguration("parameters must be nonzero")
+        super().__init__(((1, self.a, self.b), (1, self.c, self.d)) + _SIMPLEX)
 
     def __eq__(self, other):
         return isinstance(other, PointConfiguration) and \
@@ -77,30 +85,32 @@ class PointConfiguration:
         return f"PointConfiguration(a={self.a}, b={self.b}, c={self.c}, d={self.d})"
 
 
-def _det3(c1, c2, c3) -> Fraction:
+def _integer_points(cfg: PointConfiguration):
+    """``(d1, d2, points)``: column 1 scaled by d1 = lcm(den a, den b) and
+    column 2 by d2 = lcm(den c, den d), so that every entry is an integer."""
+    (d1, col1), (d2, col2) = (_int_row(col) for col in cfg.columns[:2])
+    return d1, d2, _Points((col1, col2) + _SIMPLEX)
+
+
+def _det3(c1, c2, c3):
     return (c1[0] * (c2[1] * c3[2] - c2[2] * c3[1])
             - c1[1] * (c2[0] * c3[2] - c2[2] * c3[0])
             + c1[2] * (c2[0] * c3[1] - c2[1] * c3[0]))
 
 
 def general_position_check(cfg: PointConfiguration) -> bool:
-    """No three of the six points collinear and no conic through all six."""
-    from itertools import combinations
-
-    for i, j, k in combinations(range(6), 3):
-        if _det3(cfg.columns[i], cfg.columns[j], cfg.columns[k]) == 0:
-            return False
-    # conic monomial evaluations: x^2, y^2, z^2, xy, xz, yz at the six points
-    conic_rows = []
-    for (x, y, z) in cfg.columns:
-        conic_rows.append([x * x, y * y, z * z, x * y, x * z, y * z])
-    m = RatMatrix(conic_rows)
-    # 6x6 determinant via elimination: nonzero iff full rank
-    from .exactlin import rank as _rank
-    return _rank(m) == 6
+    """No three of the six points collinear and no conic through all six
+    (tested on the integer points: scaling a point changes neither)."""
+    columns = _integer_points(cfg)[2].columns
+    if any(_det3(*triple) == 0 for triple in combinations(columns, 3)):
+        return False
+    # conic monomial evaluations x^2, y^2, z^2, xy, xz, yz at the six
+    # points: full rank iff no conic passes through all six
+    conic_rows = [[x * x, y * y, z * z, x * y, x * z, y * z] for (x, y, z) in columns]
+    return _int_row_reduce(conic_rows)[0] == 6
 
 
-def line_form(cfg: PointConfiguration, i: int, j: int) -> TriPoly:
+def line_form(cfg: _Points, i: int, j: int) -> TriPoly:
     """Linear form vanishing on the line through points i and j: the
     determinant with their columns and the coordinate vector."""
     if i == j:
@@ -109,7 +119,7 @@ def line_form(cfg: PointConfiguration, i: int, j: int) -> TriPoly:
     cx = pi[1] * pj[2] - pi[2] * pj[1]
     cy = pi[2] * pj[0] - pi[0] * pj[2]
     cz = pi[0] * pj[1] - pi[1] * pj[0]
-    return TriPoly([((1, 0, 0), cx), ((0, 1, 0), cy), ((0, 0, 1), cz)])
+    return TriPoly._sorted({(1, 0, 0): cx, (0, 1, 0): cy, (0, 0, 1): cz})
 
 
 def _mod3_123(i: int) -> int:
@@ -117,7 +127,7 @@ def _mod3_123(i: int) -> int:
     return ((i - 1) % 3) + 1
 
 
-def conic_form(cfg: PointConfiguration, i: int) -> TriPoly:
+def conic_form(cfg: _Points, i: int) -> TriPoly:
     """Quadric through the five points other than point i (i in 1..3).
 
     The form has only xy, yz, zx terms so it passes through the three
@@ -132,7 +142,7 @@ def conic_form(cfg: PointConfiguration, i: int) -> TriPoly:
     cxy = p(3, i1) * p(3, i2) * (p(2, i1) * p(1, i2) - p(2, i2) * p(1, i1))
     cyz = p(1, i1) * p(1, i2) * (p(3, i1) * p(2, i2) - p(3, i2) * p(2, i1))
     czx = p(2, i1) * p(2, i2) * (p(1, i1) * p(3, i2) - p(1, i2) * p(3, i1))
-    return TriPoly([((1, 1, 0), cxy), ((0, 1, 1), cyz), ((1, 0, 1), czx)])
+    return TriPoly._sorted({(1, 1, 0): cxy, (0, 1, 1): cyz, (1, 0, 1): czx})
 
 
 def _cross(u, v):
@@ -144,35 +154,34 @@ def _cross(u, v):
 def _kernel_triple(forms):
     """The one-dimensional left kernel of three equal-degree forms.
 
-    Returns (s, t, u), normalized to a primitive integer vector with
-    positive leading entry, such that s*F1 + t*F2 + u*F3 = 0; None when
-    the kernel is not one-dimensional.  With one row per monomial and
-    one column per form, rank two means that some row is independent of
-    the first nonzero one, their cross product then spans the kernel,
-    and every row is orthogonal to it.
+    Returns the primitive integer (s, t, u) with s*F1 + t*F2 + u*F3 = 0,
+    or None when the kernel is not one-dimensional.  With one row per
+    monomial, scaled to integers, and one column per form, rank two
+    means that some row is independent of the first nonzero one, their
+    cross product then spans the kernel, and every row is orthogonal to
+    it.
     """
-    degree = None
-    for f in forms:
-        d = f.is_homogeneous()
-        if d is not None:
-            degree = d if degree is None else max(degree, d)
-    if degree is None:
+    degrees = {f.is_homogeneous() for f in forms} - {None}
+    if not degrees:
         return None
-    rows = []
-    for m in monomials_of_degree(degree):
-        vals = [f.coefficient(m) for f in forms]
-        den = lcm(*(v.denominator for v in vals))  # scaling keeps the kernel
-        rows.append([v.numerator * (den // v.denominator) for v in vals])
+    rows = [_int_row([f.coefficient(m) for f in forms])[1]
+            for m in monomials_of_degree(max(degrees))]
     first = next((row for row in rows if any(row)), None)
     if first is None:
         return None
     kernel = next((k for k in (_cross(first, row) for row in rows) if any(k)), None)
     if kernel is None or any(sum(map(mul, row, kernel)) for row in rows):
         return None  # rank one, or rank three
-    g = gcd(*kernel)
-    if next(v for v in kernel if v) < 0:
+    return _primitive(kernel)
+
+
+def _primitive(v):
+    """The nonzero integer vector v divided by its content, with its
+    first nonzero entry made positive."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
         g = -g
-    return tuple(Fraction(v // g) for v in kernel)
+    return tuple(x // g for x in v)
 
 
 class RelationCoefficients:
@@ -228,38 +237,49 @@ def relation_coefficients(cfg: PointConfiguration) -> RelationCoefficients:
     """
     if not general_position_check(cfg):
         raise DegenerateConfiguration("points are not in general position")
-    vec = [None] * 27
-    triples = {}
-    transcript = {"family10": []}
+    d1, d2, pts = _integer_points(cfg)
+    dets, kernels = [], []
 
     def check_zero(parts, what):
-        total = TriPoly.zero()
-        for coeff, form in parts:
-            total = total + form.scale(coeff)
-        if not total.is_zero():
+        if not sum((form.scale(c) for c, form in parts), TriPoly.zero()).is_zero():
             raise DegenerateConfiguration(f"dependence identity failed for {what}")
 
     for j in range(3):
         jp = j + 4
 
         # source (0,0): s*l_{3,j+4} + t*l_{1,j+4} + u*l_{2,j+4} = 0
-        s = _det3(cfg.column(1), cfg.column(jp), cfg.column(2))
-        t = _det3(cfg.column(2), cfg.column(jp), cfg.column(3))
-        u = _det3(cfg.column(3), cfg.column(jp), cfg.column(1))
-        forms = (line_form(cfg, 3, jp), line_form(cfg, 1, jp), line_form(cfg, 2, jp))
+        s = _det3(pts.column(1), pts.column(jp), pts.column(2))
+        t = _det3(pts.column(2), pts.column(jp), pts.column(3))
+        u = _det3(pts.column(3), pts.column(jp), pts.column(1))
+        forms = (line_form(pts, 3, jp), line_form(pts, 1, jp), line_form(pts, 2, jp))
         check_zero(zip((s, t, u), forms), f"source (0,0), target ({j},2)")
-        triples[(0, j)] = (s, t, u)
-        _place(vec, 0, j, (s, t, u))
+        dets.append((s, t, u))
 
         # source (1,0): kernel of the three cubics l_{m,j+4} * q_m
-        cubics = tuple(line_form(cfg, m, jp) * conic_form(cfg, m) for m in (1, 2, 3))
-        triple = _kernel_triple(cubics)
-        if triple is None:
+        cubics = tuple(line_form(pts, m, jp) * conic_form(pts, m) for m in (1, 2, 3))
+        kernel = _kernel_triple(cubics)
+        if kernel is None:
             raise DegenerateConfiguration(
                 f"cubic dependence is not one-dimensional for target ({j},2)")
-        check_zero(zip(triple, cubics), f"source (1,0), target ({j},2)")
+        check_zero(zip(kernel, cubics), f"source (1,0), target ({j},2)")
+        kernels.append(kernel)
+
+        # source (2,0): l_{2,j+4}*l_{3,1} + l_{3,j+4}*l_{1,2} + l_{1,j+4}*l_{2,3} = 0
+        quads = (line_form(pts, 2, jp) * line_form(pts, 3, 1),
+                 line_form(pts, 3, jp) * line_form(pts, 1, 2),
+                 line_form(pts, 1, jp) * line_form(pts, 2, 3))
+        check_zero(zip((1, 1, 1), quads), f"source (2,0), target ({j},2)")
+
+    # Scale back.  Scaling column 1 by d1 and column 2 by d2 multiplies
+    # the determinants (s, t, u) by (d1*d2, d2, d1), the cubics by
+    # (d1*d2^2, d1^2*d2, d1^2*d2^2) and each quadric product by d1*d2.
+    vec = [None] * 27
+    triples = {}
+    transcript = {"family10": []}
+    for j, ((s, t, u), (k0, k1, k2)) in enumerate(zip(dets, kernels)):
+        triple = tuple(map(Fraction, _primitive((k0 * d2, k1 * d1, k2 * d1 * d2))))
         row_rule = tuple(cfg.entry(j + 1, m) for m in (1, 2, 3))
-        column_rule = tuple(cfg.entry(m, jp) for m in (1, 2, 3))
+        column_rule = tuple(cfg.entry(m, j + 4) for m in (1, 2, 3))
         transcript["family10"].append({
             "target": j,
             "kernel": tuple(str(v) for v in triple),
@@ -268,17 +288,11 @@ def relation_coefficients(cfg: PointConfiguration) -> RelationCoefficients:
             "kernelMatchesRowRule": _proportional(triple, row_rule),
             "kernelMatchesColumnRule": _proportional(triple, column_rule),
         })
+        triples[(0, j)] = (Fraction(s, d1 * d2), Fraction(t, d2), Fraction(u, d1))
         triples[(1, j)] = triple
-        _place(vec, 1, j, triple)
-
-        # source (2,0): l_{2,j+4}*l_{3,1} + l_{3,j+4}*l_{1,2} + l_{1,j+4}*l_{2,3} = 0
-        quads = (line_form(cfg, 2, jp) * line_form(cfg, 3, 1),
-                 line_form(cfg, 3, jp) * line_form(cfg, 1, 2),
-                 line_form(cfg, 1, jp) * line_form(cfg, 2, 3))
-        one = Fraction(1)
-        check_zero(zip((one, one, one), quads), f"source (2,0), target ({j},2)")
-        triples[(2, j)] = (one, one, one)
-        _place(vec, 2, j, (one, one, one))
+        triples[(2, j)] = (Fraction(1),) * 3
+    for (i, j), triple in triples.items():
+        _place(vec, i, j, triple)
 
     if any(v is None for v in vec):
         raise RuntimeError("cycle coordinate left unassigned")
@@ -312,13 +326,13 @@ def to_moduli_point(rc: RelationCoefficients):
         raise ZeroCoefficient("moduli point needs all 27 coefficients nonzero")
     point = []
     for m in moduli_torus_basis():
-        val = Fraction(1)
+        num = den = 1
         for c, e in zip(rc.vector27, m):
             if e > 0:
-                val *= c ** e
+                num, den = num * c.numerator ** e, den * c.denominator ** e
             elif e < 0:
-                val /= c ** (-e)
-        point.append(val)
+                num, den = num * c.denominator ** -e, den * c.numerator ** -e
+        point.append(Fraction(num, den))
     return tuple(point)
 
 
@@ -332,12 +346,8 @@ def gauge_rescale(rc: RelationCoefficients, alpha) -> RelationCoefficients:
     if any(v == 0 for v in alpha):
         raise ValueError("arrow scales must be nonzero")
     cycles = quiver_mod.canonical_cycles()
-    vec = []
-    for coeff, word in zip(rc.vector27, cycles):
-        factor = Fraction(1)
-        for arrow in word:
-            factor *= alpha[arrow]
-        vec.append(coeff * factor)
+    vec = [coeff * prod(alpha[arrow] for arrow in word)
+           for coeff, word in zip(rc.vector27, cycles)]
     triples = {}
     for (i, j), _old in rc.triples.items():
         mids = _middle_vertices(i)

@@ -15,6 +15,7 @@ simplex and returns the same certificates.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -27,10 +28,20 @@ class ColumnRankDeficient(ValueError):
     """solve_unique was given a matrix whose columns are dependent."""
 
 
+# The one syntax of rationals in text; the groups are the digit strings.
+_INTEGER = re.compile(r"[-+]?([0-9]+)")
+_RATIONAL = re.compile(_INTEGER.pattern + r"(?:/([0-9]+))?")
+
+
 def _rat(x) -> Fraction:
-    """The one reader of outside rationals: ints, Fractions and "p/q"
-    strings; floats and bools are refused."""
-    if isinstance(x, (bool, float)):
+    """The one reader of outside rationals: ints, Fractions and strings
+    "n" or "p/q" of ASCII digits with an optional sign (_RATIONAL).
+    Floats, bools, other types and every other string (decimals,
+    exponents, blanks, underscores) are refused."""
+    if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ValueError(f"exact rational expected, got {x!r}: not n or p/q")
+    elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"exact rational expected, got {x!r}")
     return Fraction(x)
 

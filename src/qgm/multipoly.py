@@ -1,8 +1,9 @@
 """Sparse exact polynomial arithmetic in three variables x, y, z.
 
-A polynomial is a map from exponent triples to nonzero rational
-coefficients.  Degrees stay tiny here (at most three), so the
-representation favors simplicity.
+A polynomial is a sorted map from exponent triples to nonzero int or
+Fraction coefficients.  Degrees stay tiny here (at most three), so the
+representation favors simplicity.  The public constructor checks every
+term; internal results are trusted and built by ``_sorted``.
 """
 
 from __future__ import annotations
@@ -24,18 +25,19 @@ class TriPoly:
             ex = tuple(_check_int(e) for e in exps)
             if len(ex) != 3 or any(e < 0 for e in ex):
                 raise ValueError(f"bad exponent triple {exps!r}")
-            c = _rat(c)
-            if c:
-                data[ex] = data.get(ex, Fraction(0)) + c
-        self.coeffs = {k: v for k, v in sorted(data.items()) if v != 0}
+            data[ex] = data.get(ex, 0) + (c if type(c) is int else _rat(c))
+        self.coeffs = TriPoly._sorted(data).coeffs
+
+    @classmethod
+    def _sorted(cls, data) -> "TriPoly":
+        """Trusted constructor from exact terms: drops zeros and sorts."""
+        p = object.__new__(cls)
+        p.coeffs = {k: v for k, v in sorted(data.items()) if v}
+        return p
 
     @classmethod
     def zero(cls) -> "TriPoly":
         return cls()
-
-    @classmethod
-    def monomial(cls, exps, c=1) -> "TriPoly":
-        return cls([(exps, c)])
 
     @classmethod
     def variable(cls, name: str) -> "TriPoly":
@@ -63,11 +65,11 @@ class TriPoly:
             return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return TriPoly(out)
+            out[e] = out.get(e, 0) + c
+        return TriPoly._sorted(out)
 
     def __neg__(self):
-        return TriPoly({e: -c for e, c in self.coeffs.items()})
+        return TriPoly._sorted({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, TriPoly):
@@ -81,12 +83,12 @@ class TriPoly:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return TriPoly(out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return TriPoly._sorted(out)
 
     def scale(self, c) -> "TriPoly":
-        c = _rat(c)
-        return TriPoly({e: c * v for e, v in self.coeffs.items()})
+        c = c if type(c) is int else _rat(c)
+        return TriPoly._sorted({e: c * v for e, v in self.coeffs.items()})
 
     def eval_at(self, point):
         """Exact evaluation at a rational point (x, y, z)."""
@@ -96,8 +98,8 @@ class TriPoly:
             total += coeff * px ** a * py ** b * pz ** c
         return total
 
-    def coefficient(self, exps) -> Fraction:
-        return self.coeffs.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps):
+        return self.coeffs.get(tuple(exps), 0)
 
     def __eq__(self, other):
         return isinstance(other, TriPoly) and self.coeffs == other.coeffs

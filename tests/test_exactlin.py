@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from qgm.exactlin import (
     DimensionMismatch,
     IntMatrix,
     RatMatrix,
+    _rat,
     conic_feasible,
     integer_kernel_basis,
     rank,
@@ -74,6 +76,23 @@ INEXACT_INPUTS = {
 def test_validators_refuse_floats_and_bools(build):
     with pytest.raises(TypeError):
         build()
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e3", "1e1000000000", " 2", "1_0", "\u0663"])
+def test_rationals_in_text_are_n_or_p_over_q(text):
+    with pytest.raises(ValueError, match="not n or p/q"):
+        _rat(text)
+    with pytest.raises(ValueError, match="not n or p/q"):
+        cubicrel.PointConfiguration(text, 3, 5, 7)
+
+
+def test_rat_reads_ints_fractions_and_p_over_q():
+    assert [_rat(v) for v in (3, Fraction(3, 4), "-3/4", "+7", "007/014")] == \
+        [3, Fraction(3, 4), Fraction(-3, 4), 7, Fraction(1, 2)]
+    with pytest.raises(ZeroDivisionError):
+        _rat("1/0")
+    with pytest.raises(TypeError):
+        _rat(Decimal("1.5"))
 
 
 def test_rank_identity_and_zero():

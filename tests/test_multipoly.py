@@ -40,6 +40,33 @@ def test_rejects_floats():
         X.scale(0.5)
 
 
+def _random_terms(rng, integers):
+    terms = []
+    for _ in range(rng.randint(0, 5)):
+        d = rng.randint(0, 2)
+        a = rng.randint(0, d)
+        c = rng.randint(-2, 2) if integers else rational(rng, 2)
+        terms.append(((a, d - a, 0), c))
+    return terms
+
+
+def test_results_are_in_canonical_form():
+    # sorted keys and no zero coefficients, as the public constructor
+    # makes them; small coefficients so that terms often cancel
+    rng = random.Random(13)
+    for trial in range(300):
+        integers = trial % 2 == 0
+        p, q = (TriPoly(_random_terms(rng, integers)) for _ in range(2))
+        c = rng.randint(-2, 2) if integers else rational(rng, 2)
+        for result in (p + q, p * q, p.scale(c), -p, p - q):
+            canonical = TriPoly(result.coeffs)
+            assert list(result.coeffs.items()) == list(canonical.coeffs.items())
+            assert list(result.coeffs) == sorted(result.coeffs)
+            assert all(result.coeffs.values())
+            if integers:
+                assert all(type(v) is int for v in result.coeffs.values())
+
+
 def test_homogeneity():
     assert (X * Y + Z * Z).is_homogeneous() == 2
     assert (X + X * Y).is_homogeneous() is None

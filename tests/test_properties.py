@@ -6,7 +6,9 @@ and the pipeline's bit-set containment tests against the monomial
 module.  The `qgm` command is fuzzed in-process
 against its exit-code contract.  Also the two elimination routes of
 exactlin: the Hermite kernel basis against the Smith-form route, and
-the fraction-free unique solve against plain Fraction elimination."""
+the fraction-free unique solve against plain Fraction elimination.  And
+the integer relation-coefficient route of cubicrel against the Fraction
+oracle in tests/fraction_relations.py."""
 
 import contextlib
 import io
@@ -20,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qgm import cli, quiver  # noqa: E402
+from qgm import cli, cubicrel, quiver  # noqa: E402
 from qgm.exactlin import (  # noqa: E402
     IntMatrix,
     RatMatrix,
@@ -46,6 +48,7 @@ from qgm.toricgit import (  # noqa: E402
     theta_generic_quiver,
 )
 
+import fraction_relations  # noqa: E402
 from helpers import elimination_scan, forest_scan, fraction_solve_unique  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -255,6 +258,46 @@ def test_fraction_free_solve_matches_fraction_elimination(case):
     if got[0] == "ok" and got[1] is not None:
         assert all(type(v) is Fraction for v in got[1])
         assert [sum(a * x for a, x in zip(row, got[1])) for row in rows] == b
+
+
+@st.composite
+def relation_parameters(draw):
+    """(a, b, c, d) with numerators and denominators of 4 to 64 bits, the
+    denominators of (a, b) and (c, d) drawn apart so that their lcms d1
+    and d2 mostly differ, and sometimes one of the degenerate shapes
+    the benchmark draws: a = 1, p1 = p2, or ad = bc."""
+    bound = 1 << draw(st.sampled_from((4, 8, 16, 32, 64)))
+    rng = draw(st.randoms(use_true_random=False))  # uniform, as the benchmark draws
+
+    def rational():
+        num = rng.choice((-1, 1)) * rng.randint(1, bound)
+        return Fraction(num, rng.choice((1, rng.randint(1, bound))))
+
+    a, b, c, d = (rational() for _ in range(4))
+    shape = draw(st.sampled_from(("generic",) * 5 + ("a=1", "p1=p2", "ad=bc")))
+    if shape == "a=1":
+        a = Fraction(1)
+    elif shape == "p1=p2":
+        c, d = a, b
+    elif shape == "ad=bc":
+        d = b * c / a
+    return a, b, c, d
+
+
+def _relations(route, to_point, params):
+    try:
+        rc = route(cubicrel.PointConfiguration(*params))
+    except cubicrel.DegenerateConfiguration as exc:
+        return str(exc)
+    return rc.vector27, rc.triples, rc.transcript, to_point(rc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(relation_parameters())
+def test_integer_relation_route_matches_the_fraction_oracle(params):
+    got = _relations(cubicrel.relation_coefficients, cubicrel.to_moduli_point, params)
+    assert got == _relations(fraction_relations.relation_coefficients,
+                             fraction_relations.to_moduli_point, params)
 
 
 # Fuzzing `qgm` in-process.  Junk tokens draw on an alphabet without
